@@ -3,8 +3,8 @@
 //! The question, answered in `BENCH_serve.json`: with a latency-bound
 //! service (a fixed sleep per candidate — the regime of the paper's external
 //! SPICE processes) and 32 concurrent remote clients, how much aggregate
-//! throughput does protocol-v3 pipelining buy over the strictly blocking
-//! window-of-1 wire discipline of protocol v2?
+//! throughput does pipelining buy over a window of 1 (one request in flight
+//! per connection: submit, then wait)?
 //!
 //! Each scenario binds a fresh reactor server whose Two-TIA service wraps a
 //! [`LatencyEvaluator`] on a wide worker pool, then runs every client on its

@@ -16,8 +16,8 @@
 //! * `GCNRL_SERVE_DEADLINE_MS` — dispatcher round deadline per service:
 //!   wait up to this window to pack fuller rounds.
 //! * `GCNRL_SERVE_PIPELINE` — client-side pipeline window used by the smoke
-//!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1`
-//!   reproduces the strictly blocking v2 behaviour.
+//!   clients (and by bench binaries riding `GCNRL_SERVE_ADDR`); `1` keeps
+//!   one request in flight per connection (submit, then wait).
 //! * `GCNRL_SERVE_BACKLOG` — admission control: reject new handshakes with
 //!   `Error{busy}` while more than this many evaluation requests are
 //!   pending across the registry (unset = admit unconditionally).
@@ -31,7 +31,7 @@
 //!   static even split.
 //! * `GCNRL_SERVE_PEERS` — comma-separated addresses of *all* shards in a
 //!   sharded tier (including this one, as the clients dial it). Enables
-//!   protocol-v4 peering: a mis-routed or re-hashed key whose rendezvous
+//!   cache peering: a mis-routed or re-hashed key whose rendezvous
 //!   owner is another live shard is pulled over `CacheQuery`/`CacheFill`
 //!   instead of re-simulated.
 //! * `GCNRL_SERVE_ADDRS` — client side of the sharded tier: bench binaries
@@ -45,9 +45,8 @@
 //!   telemetry registry), `/healthz` (liveness), `/readyz` (drain- and
 //!   admission-aware readiness, wired to this server's admission limits)
 //!   and `/traces` (the flight recorder's recent request trees as JSON).
-//! * `GCNRL_TRACE` / `GCNRL_SLOW_MS` / `GCNRL_FLIGHT_RECORDER` — telemetry
-//!   knobs honoured as everywhere: JSONL span sink with distributed trace
-//!   ids, slow-request tree dumps, flight-recorder ring capacity.
+//! * `GCNRL_TRACE` — telemetry knob honoured as everywhere: JSONL span sink
+//!   with distributed trace ids.
 //! * `GCNRL_SERVE_SMOKE` — run the CI smoke instead of serving: bind, run
 //!   this many concurrent pipelined remote random-search clients over real
 //!   loopback TCP, assert their runs are bit-identical to solo local runs,

@@ -98,21 +98,23 @@ impl EvalBackend for BatchEvaluator {
     }
 }
 
-impl EvalBackend for Arc<BatchEvaluator> {
+/// A shared backend is a backend: `Arc<BatchEvaluator>`, `Arc<SessionHandle>`
+/// or `Arc<dyn EvalBackend>` forward every call to the pointee.
+impl<T: EvalBackend + ?Sized> EvalBackend for Arc<T> {
     fn benchmark(&self) -> Benchmark {
-        BatchEvaluator::benchmark(self)
+        (**self).benchmark()
     }
 
     fn technology(&self) -> &TechnologyNode {
-        BatchEvaluator::technology(self)
+        (**self).technology()
     }
 
     fn metric_specs(&self) -> &[MetricSpec] {
-        BatchEvaluator::metric_specs(self)
+        (**self).metric_specs()
     }
 
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch(self, params)
+        (**self).evaluate_batch(params)
     }
 
     fn evaluate_batch_with_base(
@@ -120,14 +122,14 @@ impl EvalBackend for Arc<BatchEvaluator> {
         base: &ParamVector,
         params: &[ParamVector],
     ) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch_with_base(self, base, params)
+        (**self).evaluate_batch_with_base(base, params)
     }
 
     fn stats(&self) -> ExecStats {
-        BatchEvaluator::stats(self)
+        (**self).stats()
     }
 
     fn last_batch(&self) -> BatchReport {
-        BatchEvaluator::last_batch(self)
+        (**self).last_batch()
     }
 }

@@ -27,8 +27,8 @@ pub struct EngineConfig {
     /// keys (see [`crate::key::quantize`]).
     pub quantize_digits: i32,
     /// When set, the cache is backed by an append-only record log at this
-    /// path: existing entries (log records, or a legacy JSON snapshot which
-    /// is converted in place) are replayed at construction, and every fresh
+    /// path: existing log records are replayed at construction (an
+    /// unreadable file is replaced by a fresh log), and every fresh
     /// simulation result is appended as it is inserted — so concurrent
     /// engines sharing the path contribute hits to each other's next open.
     pub persist_path: Option<PathBuf>,
@@ -154,8 +154,7 @@ impl std::fmt::Debug for BatchEvaluator {
 impl BatchEvaluator {
     /// Wraps an existing evaluator. When the config carries a persistence
     /// path, the append-only log at that path pre-populates the cache
-    /// (legacy JSON snapshots are converted in place; unreadable files start
-    /// empty) and stays open for live appends.
+    /// (unreadable files start empty) and stays open for live appends.
     pub fn new(evaluator: Box<dyn Evaluator>, config: EngineConfig) -> Self {
         let node_name = evaluator.technology().name.to_string();
         let mut cache = ResultCache::new(config.cache_capacity);
@@ -528,9 +527,9 @@ impl BatchEvaluator {
     }
 
     /// Forces every appended log record to disk (no-op without persistence).
-    /// Entries are appended live as simulations complete, so unlike the
-    /// legacy snapshot flow there is nothing to serialise here — this is a
-    /// durability barrier, not a save.
+    /// Entries are appended live as simulations complete, so there is
+    /// nothing to serialise here — this is a durability barrier, not a
+    /// save.
     ///
     /// # Errors
     ///

@@ -31,8 +31,8 @@
 //!   is bit-identical for any thread count.
 //! * [`ResultCache`] — a content-addressed LRU cache keyed by
 //!   [`CacheKey`] = (benchmark, technology node, quantized parameter vector),
-//!   with hit/miss/eviction counters and optional JSON disk persistence for
-//!   cross-run reuse ([`persist`]).
+//!   with hit/miss/eviction counters and an optional append-only record log
+//!   for cross-run reuse ([`persist`]).
 //! * [`EvalService`] / [`SessionHandle`] — the request-queue front-end
 //!   ([`service`]): many concurrent sessions submit batches that a single
 //!   dispatcher assembles into fair, deduplicated engine rounds, resolved

@@ -6,7 +6,7 @@
 //! `RemoteBackend` produces results bit-identical to the same run over a
 //! local engine — the server is purely a sharing/locality decision.
 //!
-//! Protocol v3 client: every request carries an `id`, a background reader
+//! Pipelined client: every request carries an `id`, a background reader
 //! thread matches responses back to their waiters, so up to
 //! [`RemoteConfig::pipeline`] batches ride the wire concurrently
 //! ([`RemoteBackend::submit_batch`] / [`PendingReply::wait`]). The
@@ -726,8 +726,8 @@ impl RemoteBackend {
             .generation
     }
 
-    /// Opens another logical session over the same socket (protocol v3
-    /// channel multiplexing). The returned handle is a full
+    /// Opens another logical session over the same socket (channel
+    /// multiplexing). The returned handle is a full
     /// [`RemoteBackend`] — same pipeline window, same reconnect policy, and
     /// it is re-opened automatically after a reconnect.
     ///
@@ -800,7 +800,7 @@ impl RemoteBackend {
     /// Each submission opens a `serve.rpc.ns` span — a child of the ambient
     /// trace context when one is active (the sharded fan-out case), else the
     /// root of a fresh deterministic trace keyed on this handle's session
-    /// name and request counter — and the span's context rides the v5 frame
+    /// name and request counter — and the span's context rides the request frame
     /// so server-side spans parent under it.
     ///
     /// # Errors
@@ -877,7 +877,7 @@ impl RemoteBackend {
         }
     }
 
-    /// Asks the server whether its result caches hold `keys` (protocol v4
+    /// Asks the server whether its result caches hold `keys` (cache
     /// peering). One slot comes back per key, in query order —
     /// `Some(report)` for a cache hit, `None` for a miss. Probes are
     /// non-polluting on the server side (no counter or LRU effect).

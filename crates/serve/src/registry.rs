@@ -247,7 +247,7 @@ impl ServiceRegistry {
         Ok(())
     }
 
-    /// Answers a protocol-v4 `CacheQuery`: one slot per key, in query order —
+    /// Answers a peer's `CacheQuery`: one slot per key, in query order —
     /// `Some(report)` when any instantiated service's result cache holds the
     /// key, `None` otherwise. Probes are non-polluting (no hit/miss counter,
     /// no LRU recency effect), so a peer sweeping for mis-routed keys does

@@ -20,12 +20,10 @@
 //! and serialising response frames off the I/O thread. Completed responses
 //! come back through a completion queue plus a loopback wake socket.
 //!
-//! Protocol v3 connections pipeline freely (responses carry the request
-//! `id`, so they may return out of order) and multiplex several logical
-//! sessions over one socket (`Open`/`Close` channels). Legacy v2
-//! connections are served through the same reactor with a compat shim that
-//! processes their requests strictly one at a time, preserving the in-order
-//! responses a blocking client relies on.
+//! Connections pipeline freely (responses carry the request `id`, so they
+//! may return out of order) and multiplex several logical sessions over one
+//! socket (`Open`/`Close` channels). The handshake accepts exactly
+//! [`PROTOCOL_VERSION`]; any other version is refused with an `Error` frame.
 //!
 //! Shutdown is a graceful drain: the listener drops immediately (freeing
 //! the port), every connection keeps being served until it has been quiet
@@ -35,9 +33,8 @@
 
 use crate::poll::PollSet;
 use crate::protocol::{
-    encode_frame, v2, write_frame, ClientMsg, FrameError, FrameReader, FrameWriter, Hello,
-    ServerMsg, Welcome, WireStats, ACCEPTED_PROTOCOL_VERSIONS, DEFAULT_MAX_FRAME_BYTES,
-    LEGACY_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    encode_frame, write_frame, ClientMsg, FrameError, FrameReader, FrameWriter, Hello, ServerMsg,
+    Welcome, WireStats, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 use crate::registry::{RegistryConfig, ServiceEntryStats, ServiceRegistry};
 use crate::sharded::rendezvous_owner;
@@ -46,7 +43,7 @@ use gcnrl_exec::{panic_message, CacheKey, PendingBatch, SessionHandle};
 use gcnrl_sim::PerformanceReport;
 use gcnrl_telemetry::{SpanHandle, TraceContext};
 use serde::Serialize;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,7 +89,7 @@ pub struct ServerConfig {
     /// binary). [`ServerConfig::backlog_limit`] stays as the hard fallback.
     pub queue_wait_limit: Option<Duration>,
     /// Deadline of one peer `CacheQuery` round trip (connect + request +
-    /// response) on the v4 peering path. A peer slower than this is treated
+    /// response) on the peering path. A peer slower than this is treated
     /// as a miss and the batch simulates locally.
     pub peer_timeout: Duration,
     /// When set, the reactor periodically re-apportions the registry's cache
@@ -132,7 +129,7 @@ pub struct ServerStats {
     /// [`ServerConfig::backlog_limit`] or queue-wait p90 over
     /// [`ServerConfig::queue_wait_limit`]).
     pub admission_rejected: u64,
-    /// Peer `CacheQuery` round trips issued on the v4 peering path.
+    /// Peer `CacheQuery` round trips issued on the peering path.
     pub peer_queries: u64,
     /// Cached reports pulled from peers instead of re-simulated.
     pub peer_fills: u64,
@@ -140,7 +137,7 @@ pub struct ServerStats {
     pub services: Vec<ServiceEntryStats>,
 }
 
-/// The shard ring this server peers within (protocol v4): set post-bind via
+/// The shard ring this server peers within: set post-bind via
 /// [`EvalServer::enable_peering`] once every shard's concrete address is
 /// known. `self_addr` must appear in `peers` spelled identically to how
 /// clients spell it, so client routing and server-side ownership agree.
@@ -393,7 +390,7 @@ impl EvalServer {
         }
     }
 
-    /// Joins this server into a shard ring (protocol v4 peering): a batch
+    /// Joins this server into a shard ring (cache peering): a batch
     /// containing locally-missing candidates owned — by rendezvous hash over
     /// `peers` — by another shard pulls their cached reports from that owner
     /// (`CacheQuery`/`CacheFill`) instead of re-simulating. Call after
@@ -481,7 +478,7 @@ enum Task {
         hello: Hello,
         peer: SocketAddr,
     },
-    /// Open an additional channel (v3 multiplexing).
+    /// Open an additional channel (multiplexing).
     Open {
         token: usize,
         gen: u64,
@@ -497,11 +494,10 @@ enum Task {
     Wait {
         token: usize,
         gen: u64,
-        version: u32,
         id: u64,
         channel: u32,
         pending: PendingBatch,
-        /// The request's `serve.request.ns` server segment (v5 tracing);
+        /// The request's `serve.request.ns` server segment (tracing);
         /// finished once the batch resolves.
         segment: Option<SpanHandle>,
     },
@@ -513,12 +509,11 @@ enum Task {
     Batch {
         token: usize,
         gen: u64,
-        version: u32,
         id: u64,
         channel: u32,
         session: SessionHandle,
         params: Vec<ParamVector>,
-        /// The request's `serve.request.ns` server segment (v5 tracing);
+        /// The request's `serve.request.ns` server segment (tracing);
         /// peer-pull spans nest under it, and it travels on to the
         /// harvesting [`Task::Wait`].
         segment: Option<SpanHandle>,
@@ -531,9 +526,8 @@ struct Done {
     gen: u64,
     /// Pre-serialised response frames to queue on the connection.
     frames: Vec<Vec<u8>>,
-    /// Successful handshake: the version the connection now speaks.
-    set_version: Option<u32>,
-    /// The handshake finished (success or failure) — resume reading.
+    /// The handshake finished (success or failure) — resume reading. It
+    /// succeeded when it also carries the channel-0 session in `open`.
     handshake_done: bool,
     /// A session (and its name) to install under a channel number.
     open: Option<(u32, SessionHandle, String)>,
@@ -546,7 +540,7 @@ struct Done {
     /// reactor re-dispatches it as a [`Task::Wait`] (the request stays in
     /// flight — `request_done` belongs to the eventual `Wait` completion).
     /// The trailing slot carries the request's trace segment onward.
-    wait: Option<(u32, u64, u32, PendingBatch, Option<SpanHandle>)>,
+    wait: Option<(u64, u32, PendingBatch, Option<SpanHandle>)>,
     /// Close the connection once the queued frames flush.
     close: bool,
 }
@@ -557,7 +551,6 @@ impl Done {
             token,
             gen,
             frames: Vec::new(),
-            set_version: None,
             handshake_done: false,
             open: None,
             channel_done: None,
@@ -568,37 +561,14 @@ impl Done {
     }
 }
 
-/// Serialises an `Error` response in the connection's wire version.
-fn error_frame(version: u32, id: Option<u64>, channel: Option<u32>, message: String) -> Vec<u8> {
-    let frame = if version == LEGACY_PROTOCOL_VERSION {
-        encode_frame(&v2::ServerMsg::Error { message })
-    } else {
-        encode_frame(&ServerMsg::Error {
-            id,
-            channel,
-            message,
-        })
-    };
-    frame.unwrap_or_default()
-}
-
-/// Serialises a `BatchResult` in the connection's wire version.
-fn batch_frame(
-    version: u32,
-    id: u64,
-    channel: u32,
-    reports: Vec<gcnrl_sim::PerformanceReport>,
-) -> Vec<u8> {
-    let frame = if version == LEGACY_PROTOCOL_VERSION {
-        encode_frame(&v2::ServerMsg::BatchResult { reports })
-    } else {
-        encode_frame(&ServerMsg::BatchResult {
-            id,
-            channel,
-            reports,
-        })
-    };
-    frame.unwrap_or_default()
+/// Serialises an `Error` response.
+fn error_frame(id: Option<u64>, channel: Option<u32>, message: String) -> Vec<u8> {
+    encode_frame(&ServerMsg::Error {
+        id,
+        channel,
+        message,
+    })
+    .unwrap_or_default()
 }
 
 /// The name of the first non-finite metric value in `reports`, if any.
@@ -662,7 +632,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
             hello,
             peer,
         } => {
-            let version = hello.version;
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let service = shared.registry.service_for(hello.benchmark, &hello.node);
                 let name = hello.session.clone().unwrap_or_else(|| peer.to_string());
@@ -678,19 +647,17 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                 Ok((session, name, specs)) => {
                     done.frames.push(
                         encode_frame(&ServerMsg::Welcome(Welcome {
-                            version,
+                            version: PROTOCOL_VERSION,
                             session: name.clone(),
                             metric_specs: specs,
                         }))
                         .unwrap_or_default(),
                     );
-                    done.set_version = Some(version);
                     done.open = Some((0, session, name));
                 }
                 Err(payload) => {
                     shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
                     done.frames.push(error_frame(
-                        version,
                         None,
                         None,
                         format!("handshake failed: {}", panic_message(payload.as_ref())),
@@ -738,7 +705,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                 }
                 Err(payload) => {
                     done.frames.push(error_frame(
-                        PROTOCOL_VERSION,
                         Some(id),
                         Some(channel),
                         format!("open failed: {}", panic_message(payload.as_ref())),
@@ -750,7 +716,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
         Task::Wait {
             token,
             gen,
-            version,
             id,
             channel,
             pending,
@@ -773,9 +738,13 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                     // corrupting a value and breaking the bit-exactness the
                     // remote path promises. No current evaluator emits
                     // non-finite metrics, so this is a guard, not a path.
-                    None => batch_frame(version, id, channel, reports),
+                    None => encode_frame(&ServerMsg::BatchResult {
+                        id,
+                        channel,
+                        reports,
+                    })
+                    .unwrap_or_default(),
                     Some(metric) => error_frame(
-                        version,
                         Some(id),
                         Some(channel),
                         format!(
@@ -784,7 +753,7 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
                         ),
                     ),
                 },
-                Err(message) => error_frame(version, Some(id), Some(channel), message),
+                Err(message) => error_frame(Some(id), Some(channel), message),
             };
             done.frames.push(frame);
             done
@@ -792,7 +761,6 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
         Task::Batch {
             token,
             gen,
-            version,
             id,
             channel,
             session,
@@ -859,11 +827,10 @@ fn process_task(shared: &ServerShared, task: Task) -> Done {
             }
             drop(_trace_scope);
             match session.try_submit(params) {
-                Ok(pending) => done.wait = Some((version, id, channel, pending, segment)),
+                Ok(pending) => done.wait = Some((id, channel, pending, segment)),
                 Err(_) => {
                     done.request_done = true;
                     done.frames.push(error_frame(
-                        version,
                         Some(id),
                         Some(channel),
                         "the evaluation service has been shut down".to_owned(),
@@ -884,8 +851,9 @@ struct Conn {
     gen: u64,
     reader: FrameReader,
     writer: FrameWriter,
-    /// Negotiated protocol version; 0 until the handshake completes.
-    version: u32,
+    /// The handshake completed: channel 0 is open and every frame after
+    /// the `Hello` is a request on an established connection.
+    established: bool,
     /// A `Hello` is with a worker; reads pause until it returns.
     handshaking: bool,
     /// Open logical sessions by channel number (0 = the handshake session).
@@ -896,8 +864,6 @@ struct Conn {
     pending_channels: HashSet<u32>,
     /// Requests handed to workers and not yet completed.
     in_flight: usize,
-    /// Decoded v2 requests awaiting their strictly-serialised turn.
-    v2_queue: VecDeque<v2::ClientMsg>,
     /// The client said Goodbye; acknowledge once everything in flight is
     /// answered.
     goodbye_wanted: bool,
@@ -922,13 +888,12 @@ impl Conn {
             gen,
             reader: FrameReader::new(),
             writer: FrameWriter::new(),
-            version: 0,
+            established: false,
             handshaking: false,
             channels: HashMap::new(),
             session_names: HashMap::new(),
             pending_channels: HashSet::new(),
             in_flight: 0,
-            v2_queue: VecDeque::new(),
             goodbye_wanted: false,
             goodbye_queued: false,
             close_after_flush: false,
@@ -957,15 +922,7 @@ impl Conn {
     }
 
     fn queue_error(&mut self, id: Option<u64>, channel: Option<u32>, message: String) {
-        // Pre-handshake errors go out v3-shaped: a v2 client ignores the
-        // extra `id`/`channel` keys, a v3 client reads them as None.
-        let version = if self.version == 0 {
-            PROTOCOL_VERSION
-        } else {
-            self.version
-        };
-        let frame = error_frame(version, id, channel, message);
-        self.writer.queue_frame(&frame);
+        self.writer.queue_frame(&error_frame(id, channel, message));
     }
 }
 
@@ -1195,10 +1152,8 @@ impl Reactor {
             };
             if done.handshake_done {
                 conn.handshaking = false;
+                conn.established = done.open.is_some();
                 handshake_hist().record_duration(conn.opened_at.elapsed());
-            }
-            if let Some(version) = done.set_version {
-                conn.version = version;
             }
             if let Some(channel) = done.channel_done {
                 conn.pending_channels.remove(&channel);
@@ -1212,7 +1167,7 @@ impl Reactor {
             if done.request_done {
                 conn.in_flight = conn.in_flight.saturating_sub(1);
             }
-            if let Some((version, id, channel, pending, segment)) = done.wait {
+            if let Some((id, channel, pending, segment)) = done.wait {
                 // A peer-assisted batch is now submitted: hand the harvest
                 // back to the worker pool (the request stays in flight).
                 if self
@@ -1220,7 +1175,6 @@ impl Reactor {
                     .send(Task::Wait {
                         token: done.token,
                         gen: done.gen,
-                        version,
                         id,
                         channel,
                         pending,
@@ -1251,53 +1205,21 @@ impl Reactor {
         let started = Instant::now();
         let mut frames = 0usize;
         let max = self.shared.config.max_frame_bytes;
-        if conn.version == LEGACY_PROTOCOL_VERSION {
-            self.pump_v2(slot, &mut conn);
-        }
         while conn.wants_read() {
-            if conn.version == LEGACY_PROTOCOL_VERSION {
-                match conn.reader.poll::<v2::ClientMsg>(&mut conn.stream, max) {
-                    Ok(Some(msg)) => {
-                        frames += 1;
-                        conn.last_frame = Instant::now();
-                        if conn.v2_queue.len() >= self.shared.config.max_pipeline {
-                            conn.queue_error(
-                                None,
-                                None,
-                                format!(
-                                    "pipeline window of {} exceeded",
-                                    self.shared.config.max_pipeline
-                                ),
-                            );
-                            conn.close_after_flush = true;
-                        } else {
-                            conn.v2_queue.push_back(msg);
-                            self.pump_v2(slot, &mut conn);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(error) => {
-                        if !self.read_error(&mut conn, error) {
-                            break;
-                        }
+            match conn.reader.poll::<ClientMsg>(&mut conn.stream, max) {
+                Ok(Some(msg)) => {
+                    frames += 1;
+                    conn.last_frame = Instant::now();
+                    if conn.established {
+                        self.handle_established(slot, &mut conn, msg);
+                    } else {
+                        self.handle_pre(slot, &mut conn, msg);
                     }
                 }
-            } else {
-                match conn.reader.poll::<ClientMsg>(&mut conn.stream, max) {
-                    Ok(Some(msg)) => {
-                        frames += 1;
-                        conn.last_frame = Instant::now();
-                        if conn.version == 0 {
-                            self.handle_pre(slot, &mut conn, msg);
-                        } else {
-                            self.handle_v3(slot, &mut conn, msg);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(error) => {
-                        if !self.read_error(&mut conn, error) {
-                            break;
-                        }
+                Ok(None) => break,
+                Err(error) => {
+                    if !self.read_error(&mut conn, error) {
+                        break;
                     }
                 }
             }
@@ -1321,7 +1243,7 @@ impl Reactor {
             FrameError::Oversized { .. } => {
                 // Oversized frames cannot be skipped (the buffer holds only
                 // their prefix); close rather than desynchronise.
-                if conn.version == 0 {
+                if !conn.established {
                     self.shared
                         .connections_rejected
                         .fetch_add(1, Ordering::Relaxed);
@@ -1332,7 +1254,7 @@ impl Reactor {
             }
             FrameError::Malformed(_) => {
                 conn.queue_error(None, None, error.to_string());
-                if conn.version == 0 {
+                if !conn.established {
                     // A garbage handshake is a rejection; established
                     // connections may continue (the bad frame is consumed).
                     self.shared
@@ -1347,24 +1269,17 @@ impl Reactor {
         }
     }
 
-    /// First frame on a connection: must be a version-acceptable `Hello`
-    /// (admission control also gates here).
+    /// First frame on a connection: must be a `Hello` speaking
+    /// [`PROTOCOL_VERSION`] (admission control also gates here).
     fn handle_pre(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
         let hello = match msg {
             ClientMsg::Hello(hello) => hello,
-            // Peer shards probe the cache without a handshake (v4 peering):
-            // the connection stays pre-handshake (version 0), so a link may
-            // carry any number of queries, and admission control does not
-            // apply — a peer pull is how a busy shard *avoids* work.
+            // Peer shards probe the cache without a handshake: the
+            // connection stays pre-handshake, so a link may carry any number
+            // of queries, and admission control does not apply — a peer pull
+            // is how a busy shard *avoids* work.
             ClientMsg::CacheQuery { id, keys, trace } => {
-                // The lookup span links under the pulling shard's peer-pull
-                // span when the query carried a context (v5).
-                let mut segment = trace.map(|ctx| SpanHandle::remote("serve.cache_query.ns", ctx));
-                let hits = self.shared.registry.peek_cached(&keys);
-                if let Some(segment) = segment.as_mut() {
-                    segment.finish();
-                }
-                conn.queue_msg(&ServerMsg::CacheFill { id, hits });
+                self.answer_cache_query(conn, id, &keys, trace);
                 return;
             }
             other => {
@@ -1376,22 +1291,15 @@ impl Reactor {
                 return;
             }
         };
-        if !ACCEPTED_PROTOCOL_VERSIONS.contains(&hello.version) {
+        if hello.version != PROTOCOL_VERSION {
             self.shared
                 .connections_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            let accepted = ACCEPTED_PROTOCOL_VERSIONS
-                .iter()
-                .skip(1)
-                .map(|v| format!("v{v}"))
-                .collect::<Vec<_>>()
-                .join(", ");
             conn.queue_error(
                 None,
                 None,
                 format!(
-                    "protocol version mismatch: client speaks v{}, server speaks v{} \
-                     ({accepted} still accepted)",
+                    "protocol version mismatch: client speaks v{}, server speaks v{}",
                     hello.version, PROTOCOL_VERSION
                 ),
             );
@@ -1463,8 +1371,26 @@ impl Reactor {
         }
     }
 
-    /// One decoded v3 frame on an established connection.
-    fn handle_v3(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
+    /// Answers a peer's `CacheQuery` from the local caches, without touching
+    /// hit/miss counters. The lookup span links under the pulling shard's
+    /// peer-pull span when the query carried a trace context.
+    fn answer_cache_query(
+        &self,
+        conn: &mut Conn,
+        id: u64,
+        keys: &[CacheKey],
+        trace: Option<TraceContext>,
+    ) {
+        let mut segment = trace.map(|ctx| SpanHandle::remote("serve.cache_query.ns", ctx));
+        let hits = self.shared.registry.peek_cached(keys);
+        if let Some(segment) = segment.as_mut() {
+            segment.finish();
+        }
+        conn.queue_msg(&ServerMsg::CacheFill { id, hits });
+    }
+
+    /// One decoded frame on an established connection.
+    fn handle_established(&mut self, slot: usize, conn: &mut Conn, msg: ClientMsg) {
         match msg {
             ClientMsg::Hello(_) => {
                 conn.queue_error(
@@ -1510,15 +1436,9 @@ impl Reactor {
                     conn.dead = true;
                 }
             }
+            // Also valid on an established connection.
             ClientMsg::CacheQuery { id, keys, trace } => {
-                // Also valid on an established connection: answer from the
-                // local caches without touching hit/miss counters.
-                let mut segment = trace.map(|ctx| SpanHandle::remote("serve.cache_query.ns", ctx));
-                let hits = self.shared.registry.peek_cached(&keys);
-                if let Some(segment) = segment.as_mut() {
-                    segment.finish();
-                }
-                conn.queue_msg(&ServerMsg::CacheFill { id, hits });
+                self.answer_cache_query(conn, id, &keys, trace);
             }
             ClientMsg::Close { id, channel } => match conn.channels.remove(&channel) {
                 Some(session) => {
@@ -1560,8 +1480,8 @@ impl Reactor {
                     return;
                 }
                 // The server-side segment of the request tree: a remote
-                // child of the client's `serve.rpc.ns` span (v5 frames; v4
-                // and older carry no context and record no segment).
+                // child of the client's `serve.rpc.ns` span (a request sent
+                // outside any span carries no context and records none).
                 let segment = trace.map(|ctx| SpanHandle::remote("serve.request.ns", ctx));
                 // Peering divert: when this server is part of a shard ring
                 // and the batch contains a locally-missing candidate owned
@@ -1587,7 +1507,6 @@ impl Reactor {
                         .send(Task::Batch {
                             token: slot,
                             gen: conn.gen,
-                            version: conn.version,
                             id,
                             channel,
                             session,
@@ -1612,7 +1531,6 @@ impl Reactor {
                             .send(Task::Wait {
                                 token: slot,
                                 gen: conn.gen,
-                                version: conn.version,
                                 id,
                                 channel,
                                 pending,
@@ -1662,82 +1580,6 @@ impl Reactor {
         }
     }
 
-    /// Serves the v2 compat queue: strictly one request at a time, so the
-    /// in-order responses a blocking legacy client relies on are preserved
-    /// even with multiple workers completing out of order.
-    fn pump_v2(&mut self, slot: usize, conn: &mut Conn) {
-        while conn.in_flight == 0 && !conn.goodbye_queued && !conn.goodbye_wanted {
-            let Some(msg) = conn.v2_queue.pop_front() else {
-                return;
-            };
-            match msg {
-                v2::ClientMsg::Hello(_) => {
-                    conn.queue_error(
-                        None,
-                        None,
-                        "duplicate Hello on an established connection".to_owned(),
-                    );
-                }
-                v2::ClientMsg::EvalBatch { params } => {
-                    let Some(session) = conn.channels.get(&0) else {
-                        conn.queue_error(None, None, "connection has no session".to_owned());
-                        continue;
-                    };
-                    match session.try_submit(params) {
-                        Ok(pending) => {
-                            record_depth(conn, 0);
-                            conn.in_flight = 1;
-                            if self
-                                .tasks
-                                .send(Task::Wait {
-                                    token: slot,
-                                    gen: conn.gen,
-                                    version: LEGACY_PROTOCOL_VERSION,
-                                    id: 0,
-                                    channel: 0,
-                                    pending,
-                                    segment: None,
-                                })
-                                .is_err()
-                            {
-                                conn.dead = true;
-                            }
-                        }
-                        Err(_) => {
-                            conn.queue_error(
-                                None,
-                                None,
-                                "the evaluation service has been shut down".to_owned(),
-                            );
-                        }
-                    }
-                }
-                v2::ClientMsg::Stats => match conn.channels.get(&0) {
-                    Some(session) => {
-                        let service = session.service();
-                        conn.queue_msg(&v2::ServerMsg::Stats(WireStats {
-                            engine: service.engine_stats(),
-                            session: session.session_stats(),
-                            last_batch: service.engine().last_batch(),
-                        }));
-                    }
-                    None => {
-                        conn.queue_error(None, None, "connection has no session".to_owned());
-                    }
-                },
-                v2::ClientMsg::Metrics => {
-                    conn.queue_msg(&v2::ServerMsg::Metrics(
-                        gcnrl_telemetry::global().snapshot(),
-                    ));
-                }
-                v2::ClientMsg::Goodbye => {
-                    conn.goodbye_wanted = true;
-                    conn.v2_queue.clear();
-                }
-            }
-        }
-    }
-
     /// During a drain, says Goodbye to quiet connections and force-closes
     /// everything at the deadline.
     fn drain_tick(&mut self) {
@@ -1754,7 +1596,6 @@ impl Reactor {
             let idle = conn.in_flight == 0
                 && !conn.handshaking
                 && conn.writer.is_empty()
-                && conn.v2_queue.is_empty()
                 && !conn.reader.mid_frame()
                 && now.duration_since(conn.last_frame) >= quiet;
             if now >= deadline || idle {
@@ -1869,21 +1710,27 @@ mod tests {
     #[test]
     fn version_mismatch_is_rejected_with_an_error_frame() {
         let server = test_server();
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION + 7)).expect("send hello");
-        match read_reply(&mut stream) {
-            ServerMsg::Error { message, .. } => {
-                assert!(message.contains("version mismatch"), "{message}");
+        // Older protocol versions are refused just like unknown newer ones.
+        let refused = [2, 3, 4, PROTOCOL_VERSION + 7];
+        for version in refused {
+            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+            write_frame(&mut stream, &raw_hello(version)).expect("send hello");
+            match read_reply(&mut stream) {
+                ServerMsg::Error { message, .. } => {
+                    assert!(
+                        message.contains("version mismatch"),
+                        "v{version}: {message}"
+                    );
+                }
+                other => panic!("v{version}: expected Error, got {other:?}"),
             }
-            other => panic!("expected Error, got {other:?}"),
         }
-        drop(stream);
         // A well-versioned client still connects fine afterwards.
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         write_frame(&mut stream, &raw_hello(PROTOCOL_VERSION)).expect("send hello");
         assert!(matches!(read_reply(&mut stream), ServerMsg::Welcome(_)));
         server.shutdown();
-        assert_eq!(server.stats().connections_rejected, 1);
+        assert_eq!(server.stats().connections_rejected, refused.len() as u64);
     }
 
     #[test]
@@ -1944,64 +1791,6 @@ mod tests {
         assert_eq!(stats.connections_total, 2);
         assert_eq!(stats.connections_active, 0);
         assert_eq!(stats.services.len(), 1);
-    }
-
-    #[test]
-    fn legacy_v2_clients_ride_the_compat_shim_with_in_order_replies() {
-        let server = test_server();
-        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-        // A v2 client may write its whole conversation eagerly; the shim
-        // must answer strictly in order.
-        write_frame(
-            &mut stream,
-            &v2::ClientMsg::Hello(Hello {
-                version: LEGACY_PROTOCOL_VERSION,
-                benchmark: Benchmark::TwoStageTia,
-                node: TechnologyNode::tsmc180(),
-                session: Some("legacy".to_owned()),
-                weight: None,
-            }),
-        )
-        .expect("send hello");
-        let params = vec![nominal()];
-        write_frame(
-            &mut stream,
-            &v2::ClientMsg::EvalBatch {
-                params: params.clone(),
-            },
-        )
-        .expect("send batch 1");
-        write_frame(&mut stream, &v2::ClientMsg::EvalBatch { params }).expect("send batch 2");
-        write_frame(&mut stream, &v2::ClientMsg::Stats).expect("send stats");
-        write_frame(&mut stream, &v2::ClientMsg::Goodbye).expect("send goodbye");
-
-        let mut reader = FrameReader::new();
-        let mut next = || {
-            reader
-                .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-                .expect("v2 reply")
-        };
-        let v2::ServerMsg::Welcome(welcome) = next() else {
-            panic!("expected v2 Welcome");
-        };
-        assert_eq!(welcome.version, LEGACY_PROTOCOL_VERSION);
-        let v2::ServerMsg::BatchResult { reports: first } = next() else {
-            panic!("expected first BatchResult");
-        };
-        let v2::ServerMsg::BatchResult { reports: second } = next() else {
-            panic!("expected second BatchResult");
-        };
-        // Identical candidates: the second batch is a cache hit with
-        // bit-identical reports.
-        assert_eq!(first, second);
-        let v2::ServerMsg::Stats(stats) = next() else {
-            panic!("expected v2 Stats");
-        };
-        assert_eq!(stats.session.submitted, 2);
-        assert_eq!(stats.session.resolved, 2);
-        assert_eq!(stats.engine.simulated, 1);
-        assert!(matches!(next(), v2::ServerMsg::Goodbye));
-        server.shutdown();
     }
 
     #[test]
@@ -2228,41 +2017,6 @@ mod tests {
         let mut fine = gcnrl_sim::PerformanceReport::new();
         fine.set("gain_db", 42.0);
         assert_eq!(first_non_finite(&[fine]), None);
-    }
-
-    #[test]
-    fn previous_protocol_v4_and_v3_clients_are_served_unchanged() {
-        use crate::protocol::{PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION};
-        let server = test_server();
-        for version in [PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION] {
-            let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-            write_frame(&mut stream, &raw_hello(version)).expect("send hello");
-            let ServerMsg::Welcome(welcome) = read_reply(&mut stream) else {
-                panic!("v{version} client rejected");
-            };
-            assert_eq!(welcome.version, version);
-            // Hand-frame the batch exactly as a pre-v5 client would: no
-            // `trace` key at all.
-            let json = format!(
-                "{{\"EvalBatch\":{{\"id\":3,\"channel\":0,\"params\":[{}]}}}}",
-                serde_json::to_string(&nominal()).expect("serialize params")
-            );
-            let mut frame = (json.len() as u32).to_be_bytes().to_vec();
-            frame.extend_from_slice(json.as_bytes());
-            use std::io::Write as _;
-            stream.write_all(&frame).expect("send batch");
-            match read_reply(&mut stream) {
-                ServerMsg::BatchResult { id, reports, .. } => {
-                    assert_eq!(id, 3);
-                    assert_eq!(reports.len(), 1);
-                }
-                other => panic!("expected BatchResult, got {other:?}"),
-            }
-            write_frame(&mut stream, &ClientMsg::Goodbye).expect("send goodbye");
-            assert!(matches!(read_reply(&mut stream), ServerMsg::Goodbye));
-        }
-        server.shutdown();
-        assert_eq!(server.stats().connections_rejected, 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! address strings: deterministic across runs and across client processes
 //! (no coordination, no shared state), and when a shard dies only *its*
 //! keys move — the survivors keep their cache locality. The same owner
-//! function runs server-side for protocol-v4 peering
+//! function runs server-side for cache peering
 //! ([`EvalServer::enable_peering`](crate::EvalServer::enable_peering)), so a
 //! shard receiving a re-hashed key after a failover knows which peer to pull
 //! the cached result from instead of re-simulating.
@@ -294,7 +294,7 @@ impl ShardedBackend {
 
     /// Evaluates `params` across the shard ring, reassembling reports in
     /// submission order. Candidates on a shard that dies mid-batch re-hash
-    /// onto the survivors (pulling the v4 peering path on the server side
+    /// onto the survivors (pulling the peering path on the server side
     /// for anything the dead shard had already cached elsewhere).
     ///
     /// # Errors

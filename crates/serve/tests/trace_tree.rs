@@ -1,22 +1,15 @@
 //! End-to-end distributed-tracing acceptance: one sharded `evaluate_batch`
 //! over two peered shards — including a cross-shard `CacheQuery`/`CacheFill`
 //! pull — must reassemble into a single span tree with correct parent/child
-//! linkage, results must stay bit-identical with tracing on vs off, and
-//! v4/v3/v2 clients must be served unchanged next to the v5 trace carrier.
+//! linkage, and results must stay bit-identical with tracing on vs off.
 
 use gcnrl_circuit::{benchmarks::Benchmark, ParamVector, TechnologyNode};
 use gcnrl_exec::EngineConfig;
-use gcnrl_serve::protocol::{
-    encode_frame, v2, write_frame, ClientMsg, FrameReader, Hello, ServerMsg,
-    DEFAULT_MAX_FRAME_BYTES, PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION,
-};
 use gcnrl_serve::{
     EvalServer, RegistryConfig, RemoteBackend, RemoteConfig, ServerConfig, ShardedBackend,
     ShardedConfig,
 };
 use gcnrl_telemetry::{recent_traces, trace_id_for};
-use std::io::Write;
-use std::net::TcpStream;
 
 const BENCHMARK: Benchmark = Benchmark::TwoStageTia;
 
@@ -275,100 +268,4 @@ fn sharded_fanout_reassembles_one_span_tree_including_the_peer_pull() {
     a.shutdown();
     b.shutdown();
     c.shutdown();
-}
-
-/// Downlevel clients ride next to v5 unchanged: v4 and v3 frames carry no
-/// `trace` key at all, v2 speaks the legacy shapes — all three get the
-/// bit-identical reports a v5 client sees.
-#[test]
-fn v4_v3_and_v2_clients_are_served_unchanged_next_to_v5() {
-    let node = TechnologyNode::tsmc180();
-    let server = open_server();
-    let addr = server.local_addr();
-    let batch = distinct_candidates(4);
-
-    // v5 reference.
-    let v5 = RemoteBackend::connect(addr, BENCHMARK, &node).expect("connect v5");
-    let reference = v5.try_evaluate_batch(&batch).expect("v5 batch");
-
-    // v4 and v3: hand-framed so the EvalBatch JSON provably lacks the
-    // `trace` key — exactly what a pre-v5 client emits.
-    for version in [PREV_PROTOCOL_VERSION, V3_PROTOCOL_VERSION] {
-        let mut stream = TcpStream::connect(addr).expect("connect downlevel");
-        let hello = encode_frame(&ClientMsg::Hello(Hello {
-            version,
-            benchmark: BENCHMARK,
-            node: node.clone(),
-            session: Some(format!("downlevel-v{version}")),
-            weight: None,
-        }))
-        .expect("encode hello");
-        stream.write_all(&hello).expect("send hello");
-        let mut reader = FrameReader::new();
-        assert!(
-            matches!(
-                reader
-                    .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-                    .expect("welcome"),
-                ServerMsg::Welcome(_)
-            ),
-            "v{version} handshake refused"
-        );
-        let payload = format!(
-            "{{\"EvalBatch\":{{\"id\":7,\"channel\":0,\"params\":{}}}}}",
-            serde_json::to_string(&batch).expect("encode params")
-        );
-        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-        frame.extend_from_slice(payload.as_bytes());
-        stream.write_all(&frame).expect("send traceless batch");
-        match reader
-            .read_msg::<ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-            .expect("batch result")
-        {
-            ServerMsg::BatchResult { id: 7, reports, .. } => {
-                assert_eq!(reports, reference, "v{version} reports drifted from v5");
-            }
-            other => panic!("v{version}: expected BatchResult, got {other:?}"),
-        }
-    }
-
-    // v2: legacy shapes, strictly one request in flight.
-    let mut stream = TcpStream::connect(addr).expect("connect v2");
-    write_frame(
-        &mut stream,
-        &v2::ClientMsg::Hello(Hello {
-            version: 2,
-            benchmark: BENCHMARK,
-            node: node.clone(),
-            session: Some("downlevel-v2".to_owned()),
-            weight: None,
-        }),
-    )
-    .expect("send v2 hello");
-    let mut reader = FrameReader::new();
-    assert!(matches!(
-        reader
-            .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-            .expect("v2 welcome"),
-        v2::ServerMsg::Welcome(_)
-    ));
-    write_frame(
-        &mut stream,
-        &v2::ClientMsg::EvalBatch {
-            params: batch.clone(),
-        },
-    )
-    .expect("send v2 batch");
-    match reader
-        .read_msg::<v2::ServerMsg>(&mut stream, DEFAULT_MAX_FRAME_BYTES)
-        .expect("v2 batch result")
-    {
-        v2::ServerMsg::BatchResult { reports } => {
-            assert_eq!(reports, reference, "v2 reports drifted from v5");
-        }
-        other => panic!("v2: expected BatchResult, got {other:?}"),
-    }
-
-    v5.goodbye().expect("clean close v5");
-    server.shutdown();
 }

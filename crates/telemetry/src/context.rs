@@ -6,8 +6,8 @@
 //! the client span that caused it, an explicit [`SpanHandle`] for the
 //! request path (the client's per-batch RPC span, the sharded fan-out root,
 //! the server's per-request segment), and an in-process ring-buffer **flight
-//! recorder** keeping the last N completed request trees for `/traces` and
-//! the `GCNRL_SLOW_MS` slow-request log.
+//! recorder** keeping the last [`FLIGHT_RECORDER_CAPACITY`] completed request
+//! trees for `/traces`.
 //!
 //! # Determinism
 //!
@@ -30,14 +30,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Environment knob: capacity (completed request trees) of the in-process
-/// flight recorder ring buffer. Unset/empty keeps the default of 64.
-pub const FLIGHT_RECORDER_ENV_VAR: &str = "GCNRL_FLIGHT_RECORDER";
-
-/// Environment knob: slow-request threshold in milliseconds. When set, any
-/// finalized request segment lasting at least this long dumps its full span
-/// tree to stderr (and bumps the `trace.slow_requests` counter).
-pub const SLOW_MS_ENV_VAR: &str = "GCNRL_SLOW_MS";
+/// Capacity (completed request trees) of the in-process flight recorder
+/// ring buffer.
+const FLIGHT_RECORDER_CAPACITY: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -219,8 +214,6 @@ impl TraceTree {
 struct Recorder {
     active: BTreeMap<u64, Vec<SpanRecord>>,
     ring: VecDeque<TraceTree>,
-    capacity: usize,
-    slow_ns: Option<u64>,
 }
 
 /// Cap on distinct in-flight traces — a backstop against contexts whose
@@ -233,10 +226,6 @@ fn recorder() -> &'static Mutex<Recorder> {
         Mutex::new(Recorder {
             active: BTreeMap::new(),
             ring: VecDeque::new(),
-            capacity: crate::env_usize(FLIGHT_RECORDER_ENV_VAR)
-                .unwrap_or(64)
-                .max(1),
-            slow_ns: crate::env_usize(SLOW_MS_ENV_VAR).map(|ms| ms as u64 * 1_000_000),
         })
     })
 }
@@ -244,7 +233,6 @@ fn recorder() -> &'static Mutex<Recorder> {
 fn record_into_recorder(record: SpanRecord, finalize: bool) {
     let mut rec = recorder().lock().expect("flight recorder lock");
     let trace_id = record.trace_id;
-    let slow = finalize && rec.slow_ns.is_some_and(|ns| record.dur_ns >= ns);
     if !finalize {
         if !rec.active.contains_key(&trace_id) && rec.active.len() >= MAX_ACTIVE_TRACES {
             rec.active.pop_first();
@@ -262,30 +250,16 @@ fn record_into_recorder(record: SpanRecord, finalize: bool) {
     if let Some(existing) = rec.ring.iter_mut().find(|t| t.trace_id == trace_id) {
         existing.spans.extend(spans);
     } else {
-        while rec.ring.len() >= rec.capacity {
+        while rec.ring.len() >= FLIGHT_RECORDER_CAPACITY {
             rec.ring.pop_front();
         }
         rec.ring.push_back(TraceTree { trace_id, spans });
     }
-    if slow {
-        let tree = rec
-            .ring
-            .iter()
-            .find(|t| t.trace_id == trace_id)
-            .cloned()
-            .expect("slow trace just recorded");
-        drop(rec);
-        crate::global().counter("trace.slow_requests").inc();
-        eprintln!(
-            "[gcnrl-telemetry] slow request ({SLOW_MS_ENV_VAR}):\n{}",
-            tree.render()
-        );
-    }
 }
 
-/// The most recent completed request trees, oldest first (bounded by
-/// `GCNRL_FLIGHT_RECORDER`, default 64). Always recording — independent of
-/// `GCNRL_TRACE` — so `/traces` works on any live process.
+/// The most recent completed request trees, oldest first (at most 64).
+/// Always recording — independent of `GCNRL_TRACE` — so `/traces` works on
+/// any live process.
 pub fn recent_traces() -> Vec<TraceTree> {
     let rec = recorder().lock().expect("flight recorder lock");
     rec.ring.iter().cloned().collect()

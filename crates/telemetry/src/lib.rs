@@ -19,9 +19,8 @@
 //! * [`TraceContext`] / [`SpanHandle`] — distributed request tracing: a
 //!   deterministic `(trace_id, span_id)` pair rides the serve wire so spans
 //!   in different processes link into one request tree, and an in-process
-//!   ring-buffer **flight recorder** keeps the last N completed trees
-//!   ([`recent_traces`], the `/traces` endpoint) with a `GCNRL_SLOW_MS`
-//!   slow-request log.
+//!   ring-buffer **flight recorder** keeps the last 64 completed trees
+//!   ([`recent_traces`], the `/traces` endpoint).
 //! * [`env_usize`] / [`env_socket_addr`] — strict `GCNRL_*` knob parsing
 //!   (unset/empty keeps the default, malformed panics), shared by every
 //!   crate that reads configuration from the environment.
@@ -51,7 +50,7 @@ mod trace;
 
 pub use context::{
     recent_traces, recent_traces_json, trace_id_for, ContextGuard, SpanHandle, SpanRecord,
-    TraceContext, TraceTree, FLIGHT_RECORDER_ENV_VAR, SLOW_MS_ENV_VAR,
+    TraceContext, TraceTree,
 };
 pub use env::{env_socket_addr, env_string, env_usize};
 pub use metrics::{

@@ -494,7 +494,6 @@ fn help_for(family: &str) -> &'static str {
         "serve_shard_failovers" => "Shard failovers taken by the sharded backend.",
         "sharded_evaluate_ns" => "End-to-end sharded evaluate_batch latency in nanoseconds.",
         "exec_batch_ns" => "Engine batch execution latency in nanoseconds.",
-        "trace_slow_requests" => "Request trees slower than GCNRL_SLOW_MS.",
         _ => {
             if family.ends_with("_ns") {
                 "Latency histogram in nanoseconds."

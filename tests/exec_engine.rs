@@ -110,9 +110,9 @@ fn persisted_cache_eliminates_simulations_across_engine_instances() {
         let reports = engine.evaluate_batch(&candidates);
         assert_eq!(engine.stats().simulated, 1);
         reports
-        // drop writes the snapshot
+        // every simulation was appended to the log as it completed
     };
-    assert!(path.exists(), "engine drop must persist the cache snapshot");
+    assert!(path.exists(), "the engine must persist its cache log");
 
     let engine = BatchEvaluator::for_benchmark(
         Benchmark::Ldo,
@@ -125,10 +125,7 @@ fn persisted_cache_eliminates_simulations_across_engine_instances() {
         "restored reports must be bit-identical"
     );
     let stats = engine.stats();
-    assert_eq!(
-        stats.simulated, 0,
-        "all candidates must come from the snapshot"
-    );
+    assert_eq!(stats.simulated, 0, "all candidates must come from the log");
     assert_eq!(stats.cache_hits, 1);
     let _ = std::fs::remove_file(&path);
 }
