@@ -27,6 +27,9 @@ pub enum AgentKind {
     NonGcn,
 }
 
+/// Weight and bias gradients of one layer.
+type LayerGrads = (Matrix, Vec<f64>);
+
 /// Number of component types (NMOS, PMOS, R, C).
 const NUM_TYPES: usize = 4;
 /// Per-component action width (W, L, M for transistors).
@@ -55,9 +58,55 @@ impl OptLinear {
     }
 
     fn apply(&mut self, d_weight: &Matrix, d_bias: &[f64]) {
-        let uw = self.opt_w.step_matrix(d_weight);
-        let ub = self.opt_b.step_vector(d_bias);
-        self.layer.apply_update(&uw, &ub);
+        self.layer
+            .apply_update(&mut self.opt_w, &mut self.opt_b, d_weight, d_bias);
+    }
+}
+
+/// Stacks matrices of equal width row-wise, in order.
+fn stack_rows(blocks: &[&Matrix]) -> Matrix {
+    let cols = blocks[0].cols();
+    let mut data = Vec::with_capacity(blocks.iter().map(|b| b.as_slice().len()).sum());
+    for block in blocks {
+        assert_eq!(block.cols(), cols, "stacked blocks must share a width");
+        data.extend_from_slice(block.as_slice());
+    }
+    Matrix::from_vec(data.len() / cols, cols, data).expect("non-empty blocks")
+}
+
+/// Copy of the `k`-th block of `rows` rows of a row-stacked matrix.
+fn row_block(m: &Matrix, k: usize, rows: usize) -> Matrix {
+    let len = rows * m.cols();
+    Matrix::from_vec(
+        rows,
+        m.cols(),
+        m.as_slice()[k * len..(k + 1) * len].to_vec(),
+    )
+    .expect("block inside the matrix")
+}
+
+/// `m` with row `r` scaled by `mask[r]` (0 or 1: keeps only the rows of one
+/// component type).
+fn mask_rows(m: &Matrix, mask: &[f64]) -> Matrix {
+    let mut out = m.clone();
+    for (row, w) in out.as_mut_slice().chunks_exact_mut(m.cols()).zip(mask) {
+        row.iter_mut().for_each(|v| *v *= w);
+    }
+    out
+}
+
+/// `acc += mask_rows(m, mask)` for `acc` and `m` stacking any number of
+/// `mask.len()`-row blocks: row `r` uses `mask[r % mask.len()]`.
+fn add_masked_rows(acc: &mut Matrix, m: &Matrix, mask: &[f64]) {
+    let cols = m.cols();
+    let rows = acc.as_mut_slice().chunks_exact_mut(cols);
+    for ((acc_row, row), w) in rows
+        .zip(m.as_slice().chunks_exact(cols))
+        .zip(mask.iter().cycle())
+    {
+        for (a, v) in acc_row.iter_mut().zip(row) {
+            *a += v * w;
+        }
     }
 }
 
@@ -85,21 +134,56 @@ pub struct AgentCheckpoint {
 /// Cache of one actor forward pass.
 pub struct ActorCache {
     input_cache: LinearCache,
-    input_act: Matrix,
-    hidden: Vec<(LinearCache, Matrix)>,
-    decoder_caches: Vec<LinearCache>,
-    pre_tanh: Matrix,
+    input_act: SharedMatrix,
+    hidden: Vec<(LinearCache, SharedMatrix)>,
+    decoder_cache: LinearCache,
     tanh_out: Matrix,
 }
 
 /// Cache of one critic forward pass.
 pub struct CriticCache {
     state_cache: LinearCache,
-    action_caches: Vec<LinearCache>,
-    combine_act: Matrix,
-    hidden: Vec<(LinearCache, Matrix)>,
+    action_cache: LinearCache,
+    combine_act: SharedMatrix,
+    hidden: Vec<(LinearCache, SharedMatrix)>,
     out_cache: LinearCache,
     num_nodes: usize,
+}
+
+/// One critic forward pass over `B` action matrices stacked row-wise: every
+/// activation holds `B` blocks of `n` rows, block `k` belonging to action
+/// `k`. Each row is computed exactly as in a pass over its action alone.
+struct CriticBatch {
+    q: Vec<f64>,
+    state_cache: LinearCache,
+    actions: SharedMatrix,
+    combine_act: SharedMatrix,
+    /// `(aggregated input, ReLU output)` of every hidden layer.
+    hidden: Vec<(SharedMatrix, SharedMatrix)>,
+    num_nodes: usize,
+}
+
+impl CriticBatch {
+    /// The cache of sample `k` alone, as a one-action pass would build it.
+    fn sample(&self, k: usize) -> CriticCache {
+        let n = self.num_nodes;
+        let block = |m: &Matrix| Arc::new(row_block(m, k, n));
+        let combine_act = block(&self.combine_act);
+        let mut last = Arc::clone(&combine_act);
+        let mut hidden = Vec::with_capacity(self.hidden.len());
+        for (agg, act) in &self.hidden {
+            last = block(act);
+            hidden.push((LinearCache::new(block(agg)), Arc::clone(&last)));
+        }
+        CriticCache {
+            state_cache: self.state_cache.clone(),
+            action_cache: LinearCache::new(block(&self.actions)),
+            combine_act,
+            hidden,
+            out_cache: LinearCache::new(last),
+            num_nodes: n,
+        }
+    }
 }
 
 /// The GCN (or NG) actor–critic agent.
@@ -109,7 +193,8 @@ pub struct GcnAgent {
     hidden_dim: usize,
     gcn_layers: usize,
     types: Vec<usize>,
-    type_masks: Vec<Matrix>,
+    /// Per component type, a 0/1 weight per node selecting that type's rows.
+    type_masks: Vec<Vec<f64>>,
     actor_input: OptLinear,
     actor_hidden: Vec<OptLinear>,
     actor_decoders: Vec<OptLinear>,
@@ -139,9 +224,13 @@ impl GcnAgent {
     ) -> Self {
         assert!(!types.is_empty(), "agent needs at least one component");
         assert!(types.iter().all(|t| *t < NUM_TYPES), "invalid type index");
-        let n = types.len();
         let type_masks = (0..NUM_TYPES)
-            .map(|t| Matrix::from_fn(n, 1, |r, _| if types[r] == t { 1.0 } else { 0.0 }))
+            .map(|t| {
+                types
+                    .iter()
+                    .map(|&ty| if ty == t { 1.0 } else { 0.0 })
+                    .collect()
+            })
             .collect();
         let mut s = seed;
         let mut next_seed = || {
@@ -185,66 +274,111 @@ impl GcnAgent {
         self.state_dim
     }
 
-    fn mask_rows(&self, m: &Matrix, t: usize) -> Matrix {
-        let mask = &self.type_masks[t];
-        Matrix::from_fn(m.rows(), m.cols(), |r, c| m[(r, c)] * mask[(r, 0)])
-    }
-
-    fn propagate(&self, adjacency: &Matrix, h: &Matrix) -> Matrix {
+    /// Neighbourhood aggregation of (row-stacked) node features; the NG-RL
+    /// ablation passes them through unchanged.
+    fn propagate(&self, adjacency: &Matrix, h: &SharedMatrix) -> SharedMatrix {
         match self.kind {
-            AgentKind::Gcn => gcn_propagate(adjacency, h),
-            AgentKind::NonGcn => h.clone(),
+            AgentKind::Gcn => Arc::new(gcn_propagate(adjacency, h)),
+            AgentKind::NonGcn => Arc::clone(h),
         }
     }
 
-    fn backprop_propagate(&self, adjacency: &Matrix, d: &Matrix) -> Matrix {
+    fn backprop_propagate(&self, adjacency: &Matrix, d: Matrix) -> Matrix {
         match self.kind {
-            AgentKind::Gcn => gcn_backprop(adjacency, d),
-            AgentKind::NonGcn => d.clone(),
+            AgentKind::Gcn => gcn_backprop(adjacency, &d),
+            AgentKind::NonGcn => d,
         }
     }
 
     /// Actor forward pass: returns the `n x 3` action matrix and the cache.
     ///
     /// Intermediate activations are moved into shared handles so every layer
-    /// cache borrows its input instead of cloning it; the one `states` copy
-    /// below is the only matrix duplicated per pass.
+    /// cache borrows its input instead of cloning it; the `states` copy and
+    /// the returned action matrix are the only matrices duplicated per pass.
     pub fn actor_forward(&self, states: &Matrix, adjacency: &Matrix) -> (Matrix, ActorCache) {
         let states = Arc::new(states.clone());
         let (pre, input_cache) = self.actor_input.forward(&states);
-        let (h, input_act) = Activation::Relu.forward(&pre);
-        let mut h = Arc::new(h);
+        let input_act = Arc::new(Activation::Relu.forward(pre));
+        let mut h = Arc::clone(&input_act);
 
         let mut hidden = Vec::with_capacity(self.gcn_layers);
         for layer in &self.actor_hidden {
-            let agg = Arc::new(self.propagate(adjacency, &h));
+            let agg = self.propagate(adjacency, &h);
             let (pre, cache) = layer.forward(&agg);
-            let (act, act_cache) = Activation::Relu.forward(&pre);
-            hidden.push((cache, act_cache));
-            h = Arc::new(act);
+            h = Arc::new(Activation::Relu.forward(pre));
+            hidden.push((cache, Arc::clone(&h)));
         }
 
         let mut pre_tanh = Matrix::zeros(h.rows(), ACTION_DIM);
-        let mut decoder_caches = Vec::with_capacity(NUM_TYPES);
-        for (t, dec) in self.actor_decoders.iter().enumerate() {
-            let (out, cache) = dec.forward(&h);
-            decoder_caches.push(cache);
-            pre_tanh = pre_tanh
-                .add_elem(&self.mask_rows(&out, t))
-                .expect("same shape");
+        for (dec, mask) in self.actor_decoders.iter().zip(&self.type_masks) {
+            let (out, _) = dec.forward(&h);
+            add_masked_rows(&mut pre_tanh, &out, mask);
         }
-        let (actions, tanh_out) = Activation::Tanh.forward(&pre_tanh);
+        let tanh_out = Activation::Tanh.forward(pre_tanh);
         (
-            actions,
+            tanh_out.clone(),
             ActorCache {
                 input_cache,
                 input_act,
                 hidden,
-                decoder_caches,
-                pre_tanh,
+                decoder_cache: LinearCache::new(h),
                 tanh_out,
             },
         )
+    }
+
+    /// Critic forward pass for every action in `actions` at once, stacked
+    /// row-wise into one `(B·n)`-row pass: the state embedding is computed
+    /// once, every layer runs one GEMM, and the adjacency is applied per
+    /// `n`-row block. Per-row arithmetic is that of a one-action pass.
+    fn critic_forward_batch(
+        &self,
+        states: &Matrix,
+        actions: &[&Matrix],
+        adjacency: &Matrix,
+    ) -> CriticBatch {
+        let n = states.rows();
+        let states = Arc::new(states.clone());
+        let (hs, state_cache) = self.critic_state.forward(&states);
+        let actions = Arc::new(stack_rows(actions));
+        let mut combined = Matrix::zeros(actions.rows(), self.hidden_dim);
+        for (enc, mask) in self.critic_action.iter().zip(&self.type_masks) {
+            let (out, _) = enc.forward(&actions);
+            add_masked_rows(&mut combined, &out, mask);
+        }
+        // Add the state embedding to every sample's action embedding.
+        for block in combined
+            .as_mut_slice()
+            .chunks_exact_mut(hs.as_slice().len())
+        {
+            for (x, s) in block.iter_mut().zip(hs.as_slice()) {
+                *x += s;
+            }
+        }
+        let combine_act = Arc::new(Activation::Relu.forward(combined));
+        let mut h = Arc::clone(&combine_act);
+
+        let mut hidden = Vec::with_capacity(self.gcn_layers);
+        for layer in &self.critic_hidden {
+            let agg = self.propagate(adjacency, &h);
+            let (pre, _) = layer.forward(&agg);
+            h = Arc::new(Activation::Relu.forward(pre));
+            hidden.push((agg, Arc::clone(&h)));
+        }
+        let (values, _) = self.critic_out.forward(&h);
+        let q = values
+            .as_slice()
+            .chunks_exact(n)
+            .map(|v| v.iter().sum::<f64>() / n as f64)
+            .collect();
+        CriticBatch {
+            q,
+            state_cache,
+            actions,
+            combine_act,
+            hidden,
+            num_nodes: n,
+        }
     }
 
     /// Critic forward pass: returns the scalar value estimate and the cache.
@@ -254,90 +388,126 @@ impl GcnAgent {
         actions: &Matrix,
         adjacency: &Matrix,
     ) -> (f64, CriticCache) {
-        let num_rows = states.rows();
-        let states = Arc::new(states.clone());
-        let actions = Arc::new(actions.clone());
-        let (hs, state_cache) = self.critic_state.forward(&states);
-        let mut ha = Matrix::zeros(num_rows, self.hidden_dim);
-        let mut action_caches = Vec::with_capacity(NUM_TYPES);
-        for (t, enc) in self.critic_action.iter().enumerate() {
-            let (out, cache) = enc.forward(&actions);
-            action_caches.push(cache);
-            ha = ha.add_elem(&self.mask_rows(&out, t)).expect("same shape");
-        }
-        let combined = hs.add_elem(&ha).expect("same shape");
-        let (h, combine_act) = Activation::Relu.forward(&combined);
-        let mut h = Arc::new(h);
-
-        let mut hidden = Vec::with_capacity(self.gcn_layers);
-        for layer in &self.critic_hidden {
-            let agg = Arc::new(self.propagate(adjacency, &h));
-            let (pre, cache) = layer.forward(&agg);
-            let (act, act_cache) = Activation::Relu.forward(&pre);
-            hidden.push((cache, act_cache));
-            h = Arc::new(act);
-        }
-        let (values, out_cache) = self.critic_out.forward(&h);
-        let q = values.sum() / values.rows() as f64;
-        (
-            q,
-            CriticCache {
-                state_cache,
-                action_caches,
-                combine_act,
-                hidden,
-                out_cache,
-                num_nodes: states.rows(),
-            },
-        )
+        let batch = self.critic_forward_batch(states, &[actions], adjacency);
+        (batch.q[0], batch.sample(0))
     }
 
-    /// Backpropagates `d_actions` (gradient of some loss with respect to the
-    /// actor's output) and applies one Adam step to every actor parameter.
-    pub fn actor_apply(&mut self, cache: &ActorCache, d_actions: &Matrix, adjacency: &Matrix) {
+    /// The actor's layers in update order: input, hidden, decoders.
+    fn actor_layers_mut(&mut self) -> impl Iterator<Item = &mut OptLinear> {
+        std::iter::once(&mut self.actor_input)
+            .chain(&mut self.actor_hidden)
+            .chain(&mut self.actor_decoders)
+    }
+
+    /// The critic's layers in update order: value head, hidden, state
+    /// encoder, action encoders.
+    fn critic_layers_mut(&mut self) -> impl Iterator<Item = &mut OptLinear> {
+        std::iter::once(&mut self.critic_out)
+            .chain(&mut self.critic_hidden)
+            .chain(std::iter::once(&mut self.critic_state))
+            .chain(&mut self.critic_action)
+    }
+
+    /// Weight and bias gradients of every actor layer, in
+    /// [`GcnAgent::actor_layers_mut`] order, for the loss gradient
+    /// `d_actions` with respect to the actor's output.
+    fn actor_gradients(
+        &self,
+        cache: &ActorCache,
+        d_actions: &Matrix,
+        adjacency: &Matrix,
+    ) -> Vec<LayerGrads> {
         // Through the tanh output head.
-        let d_pre = Activation::Tanh.backward(&cache.tanh_out, d_actions);
-        let _ = &cache.pre_tanh;
+        let d_pre = Activation::Tanh.backward(&cache.tanh_out, d_actions.clone());
 
         // Through the per-type decoders.
         let mut decoder_grads = Vec::with_capacity(NUM_TYPES);
-        let last_hidden_rows = d_pre.rows();
-        let mut d_h = Matrix::zeros(last_hidden_rows, self.hidden_dim);
-        for t in 0..NUM_TYPES {
-            let masked = self.mask_rows(&d_pre, t);
-            let grads = self.actor_decoders[t]
+        let mut d_h = Matrix::zeros(d_pre.rows(), self.hidden_dim);
+        for (dec, mask) in self.actor_decoders.iter().zip(&self.type_masks) {
+            let grads = dec
                 .layer
-                .backward(&cache.decoder_caches[t], &masked);
-            d_h = d_h.add_elem(&grads.d_input).expect("same shape");
+                .backward(&cache.decoder_cache, &mask_rows(&d_pre, mask));
+            d_h += &grads.d_input;
             decoder_grads.push((grads.d_weight, grads.d_bias));
         }
 
         // Through the hidden GCN stack (reverse order).
-        let mut hidden_grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.gcn_layers);
-        for (layer, (cache_l, act_cache)) in self.actor_hidden.iter().zip(&cache.hidden).rev() {
-            let d_act = Activation::Relu.backward(act_cache, &d_h);
+        let mut hidden_grads = Vec::with_capacity(self.gcn_layers);
+        for (layer, (cache_l, act)) in self.actor_hidden.iter().zip(&cache.hidden).rev() {
+            let d_act = Activation::Relu.backward(act, d_h);
             let grads = layer.layer.backward(cache_l, &d_act);
-            d_h = self.backprop_propagate(adjacency, &grads.d_input);
+            d_h = self.backprop_propagate(adjacency, grads.d_input);
             hidden_grads.push((grads.d_weight, grads.d_bias));
         }
         hidden_grads.reverse();
 
         // Through the shared input layer.
-        let d_input_act = Activation::Relu.backward(&cache.input_act, &d_h);
+        let d_input_act = Activation::Relu.backward(&cache.input_act, d_h);
         let input_grads = self
             .actor_input
             .layer
             .backward(&cache.input_cache, &d_input_act);
 
-        // Apply all updates.
-        self.actor_input
-            .apply(&input_grads.d_weight, &input_grads.d_bias);
-        for (layer, (dw, db)) in self.actor_hidden.iter_mut().zip(&hidden_grads) {
+        let mut grads = vec![(input_grads.d_weight, input_grads.d_bias)];
+        grads.extend(hidden_grads);
+        grads.extend(decoder_grads);
+        grads
+    }
+
+    /// Backpropagates `d_actions` (gradient of some loss with respect to the
+    /// actor's output) and applies one Adam step to every actor parameter.
+    pub fn actor_apply(&mut self, cache: &ActorCache, d_actions: &Matrix, adjacency: &Matrix) {
+        let grads = self.actor_gradients(cache, d_actions, adjacency);
+        for (layer, (dw, db)) in self.actor_layers_mut().zip(&grads) {
             layer.apply(dw, db);
         }
-        for (dec, (dw, db)) in self.actor_decoders.iter_mut().zip(&decoder_grads) {
-            dec.apply(dw, db);
+    }
+
+    /// Weight and bias gradients of every critic layer, in
+    /// [`GcnAgent::critic_layers_mut`] order, and the gradient with respect
+    /// to the action matrix, all for the loss gradient `d_q` on the value.
+    fn critic_gradients(
+        &self,
+        cache: &CriticCache,
+        d_q: f64,
+        adjacency: &Matrix,
+    ) -> (Vec<LayerGrads>, Matrix) {
+        let n = cache.num_nodes;
+        // dQ/d(values) = 1/n for every node.
+        let d_values = Matrix::filled(n, 1, d_q / n as f64);
+        let out_grads = self.critic_out.layer.backward(&cache.out_cache, &d_values);
+        let mut grads = vec![(out_grads.d_weight, out_grads.d_bias)];
+        let mut d_h = out_grads.d_input;
+
+        let mut hidden_grads = Vec::with_capacity(self.gcn_layers);
+        for (layer, (cache_l, act)) in self.critic_hidden.iter().zip(&cache.hidden).rev() {
+            let d_act = Activation::Relu.backward(act, d_h);
+            let layer_grads = layer.layer.backward(cache_l, &d_act);
+            d_h = self.backprop_propagate(adjacency, layer_grads.d_input);
+            hidden_grads.push((layer_grads.d_weight, layer_grads.d_bias));
         }
+        hidden_grads.reverse();
+        grads.extend(hidden_grads);
+
+        // Through the ReLU that combined state and action embeddings.
+        let d_combined = Activation::Relu.backward(&cache.combine_act, d_h);
+
+        let state_grads = self
+            .critic_state
+            .layer
+            .backward(&cache.state_cache, &d_combined);
+        grads.push((state_grads.d_weight, state_grads.d_bias));
+
+        let mut d_actions = Matrix::zeros(n, ACTION_DIM);
+        for (enc, mask) in self.critic_action.iter().zip(&self.type_masks) {
+            // Only rows of this encoder's type received its output.
+            let enc_grads = enc
+                .layer
+                .backward(&cache.action_cache, &mask_rows(&d_combined, mask));
+            d_actions += &enc_grads.d_input;
+            grads.push((enc_grads.d_weight, enc_grads.d_bias));
+        }
+        (grads, d_actions)
     }
 
     /// Backpropagates a scalar `d_q` through the critic.  Returns the gradient
@@ -352,51 +522,10 @@ impl GcnAgent {
         adjacency: &Matrix,
         apply: bool,
     ) -> Matrix {
-        let n = cache.num_nodes;
-        // dQ/d(values) = 1/n for every node.
-        let d_values = Matrix::filled(n, 1, d_q / n as f64);
-        let out_grads = self.critic_out.layer.backward(&cache.out_cache, &d_values);
-        let mut d_h = out_grads.d_input.clone();
-
-        let mut hidden_grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.gcn_layers);
-        for (layer, (cache_l, act_cache)) in self.critic_hidden.iter().zip(&cache.hidden).rev() {
-            let d_act = Activation::Relu.backward(act_cache, &d_h);
-            let grads = layer.layer.backward(cache_l, &d_act);
-            d_h = self.backprop_propagate(adjacency, &grads.d_input);
-            hidden_grads.push((grads.d_weight, grads.d_bias));
-        }
-        hidden_grads.reverse();
-
-        // Through the ReLU that combined state and action embeddings.
-        let d_combined = Activation::Relu.backward(&cache.combine_act, &d_h);
-
-        let state_grads = self
-            .critic_state
-            .layer
-            .backward(&cache.state_cache, &d_combined);
-
-        let mut d_actions = Matrix::zeros(n, ACTION_DIM);
-        let mut action_grads = Vec::with_capacity(NUM_TYPES);
-        for t in 0..NUM_TYPES {
-            // Only rows of type t received this encoder's output.
-            let masked = self.mask_rows(&d_combined, t);
-            let grads = self.critic_action[t]
-                .layer
-                .backward(&cache.action_caches[t], &masked);
-            d_actions = d_actions.add_elem(&grads.d_input).expect("same shape");
-            action_grads.push((grads.d_weight, grads.d_bias));
-        }
-
+        let (grads, d_actions) = self.critic_gradients(cache, d_q, adjacency);
         if apply {
-            self.critic_out
-                .apply(&out_grads.d_weight, &out_grads.d_bias);
-            for (layer, (dw, db)) in self.critic_hidden.iter_mut().zip(&hidden_grads) {
+            for (layer, (dw, db)) in self.critic_layers_mut().zip(&grads) {
                 layer.apply(dw, db);
-            }
-            self.critic_state
-                .apply(&state_grads.d_weight, &state_grads.d_bias);
-            for (enc, (dw, db)) in self.critic_action.iter_mut().zip(&action_grads) {
-                enc.apply(dw, db);
             }
         }
         d_actions
@@ -405,6 +534,14 @@ impl GcnAgent {
     /// One DDPG critic regression step over a mini-batch of `(action, reward)`
     /// transitions with baseline `b`: minimises `mean_k (r_k - b - Q(s, a_k))^2`.
     /// Returns the batch loss before the update.
+    ///
+    /// The `B` forward passes run first, as one row-stacked pass with the
+    /// pre-update weights. The backward passes then run one sample at a time,
+    /// in batch order, each followed by an Adam step on every critic layer.
+    /// So a call takes `B` Adam steps, not one mini-batch step: each carries
+    /// the `1/B`-scaled gradient of one sample, and sample `k` backpropagates
+    /// its cached pre-update activations through weights that samples
+    /// `0..k` have already moved.
     pub fn critic_update(
         &mut self,
         states: &Matrix,
@@ -415,18 +552,17 @@ impl GcnAgent {
         if batch.is_empty() {
             return 0.0;
         }
+        let actions: Vec<&Matrix> = batch.iter().map(|(action, _)| action).collect();
+        let forward = self.critic_forward_batch(states, &actions, adjacency);
         let mut loss = 0.0;
-        let mut caches = Vec::with_capacity(batch.len());
-        for (action, reward) in batch {
-            let (q, cache) = self.critic_forward(states, action, adjacency);
+        let mut d_qs = Vec::with_capacity(batch.len());
+        for ((_, reward), q) in batch.iter().zip(&forward.q) {
             let err = reward - baseline - q;
             loss += err * err;
-            caches.push((cache, -2.0 * err / batch.len() as f64));
+            d_qs.push(-2.0 * err / batch.len() as f64);
         }
-        // Apply per-sample updates sequentially (equivalent to accumulating
-        // for Adam up to second-moment bookkeeping, and much simpler).
-        for (cache, d_q) in &caches {
-            let _ = self.critic_backward(cache, *d_q, adjacency, true);
+        for (k, d_q) in d_qs.into_iter().enumerate() {
+            let _ = self.critic_backward(&forward.sample(k), d_q, adjacency, true);
         }
         loss / batch.len() as f64
     }
@@ -613,6 +749,145 @@ mod tests {
         assert_ne!(fresh.act(&states, &adj), agent.act(&states, &adj));
         fresh.load_checkpoint(&ckpt);
         assert_eq!(fresh.act(&states, &adj), agent.act(&states, &adj));
+    }
+
+    /// Central-difference step of the gradient checks.
+    const FD_EPS: f64 = 1e-6;
+    /// Relative tolerance of an analytic gradient against its central
+    /// difference, over a floor of `FD_FLOOR` for near-zero gradients.
+    const FD_REL_TOL: f64 = 1e-6;
+    const FD_FLOOR: f64 = 1e-6;
+
+    fn assert_gradient(analytic: f64, numeric: f64, what: &str) {
+        let scale = analytic.abs().max(numeric.abs()).max(FD_FLOOR);
+        assert!(
+            (analytic - numeric).abs() <= FD_REL_TOL * scale,
+            "{what}: analytic {analytic:e} vs central difference {numeric:e}"
+        );
+    }
+
+    /// `(f(+eps) - f(-eps)) / 2 eps`.
+    fn central_difference(mut f: impl FnMut(f64) -> f64) -> f64 {
+        (f(FD_EPS) - f(-FD_EPS)) / (2.0 * FD_EPS)
+    }
+
+    /// Adds `delta` to weight `(i, j)` of `layer`.
+    fn nudge(layer: &mut OptLinear, (i, j): (usize, usize), delta: f64) {
+        let mut w = layer.layer.weight().clone();
+        w[(i, j)] += delta;
+        layer.layer = Linear::from_parameters(w, layer.layer.bias().to_vec());
+    }
+
+    /// Two weight entries of every layer, spread over rows and columns.
+    fn sampled_entries(layer: &OptLinear) -> [(usize, usize); 2] {
+        let (rows, cols) = layer.layer.weight().shape();
+        [(0, 0), ((rows * 2) / 3, (cols * 3) / 4)]
+    }
+
+    /// A row-varying matrix with entries in (-1, 1).
+    fn probe_matrix(rows: usize, cols: usize, phase: f64) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| {
+            ((r * cols + c) as f64 * 0.73 + phase).sin()
+        })
+    }
+
+    /// Checks `critic_backward`'s action gradient and sampled critic and
+    /// actor weight gradients against central differences.
+    fn check_agent_gradients(mut agent: GcnAgent, states: &Matrix, adj: &Matrix) {
+        let n = states.rows();
+        let actions = probe_matrix(n, ACTION_DIM, 0.4).scaled(0.9);
+
+        // dQ/dA from the backward pass that leaves the critic untouched.
+        let (_, cache) = agent.critic_forward(states, &actions, adj);
+        let d_actions = agent.critic_backward(&cache, 1.0, adj, false);
+        for r in 0..n {
+            for c in 0..ACTION_DIM {
+                let numeric = central_difference(|delta| {
+                    let mut a = actions.clone();
+                    a[(r, c)] += delta;
+                    agent.critic_forward(states, &a, adj).0
+                });
+                assert_gradient(d_actions[(r, c)], numeric, &format!("dQ/dA[{r}][{c}]"));
+            }
+        }
+
+        // dQ/dW for every critic layer.
+        let (critic_grads, _) = agent.critic_gradients(&cache, 1.0, adj);
+        let layers = agent.critic_layers_mut().count();
+        for (l, (dw, _)) in (0..layers).zip(&critic_grads) {
+            let entries = sampled_entries(agent.critic_layers_mut().nth(l).unwrap());
+            for entry in entries {
+                let numeric = central_difference(|delta| {
+                    nudge(agent.critic_layers_mut().nth(l).unwrap(), entry, delta);
+                    let q = agent.critic_forward(states, &actions, adj).0;
+                    nudge(agent.critic_layers_mut().nth(l).unwrap(), entry, -delta);
+                    q
+                });
+                assert_gradient(
+                    dw[entry],
+                    numeric,
+                    &format!("critic layer {l} dQ/dW{entry:?}"),
+                );
+            }
+        }
+
+        // dL/dW for every actor layer, with L = sum(G * actions).
+        let weights = probe_matrix(n, ACTION_DIM, 1.3);
+        let loss = |agent: &GcnAgent| agent.act(states, adj).hadamard(&weights).unwrap().sum();
+        let (_, actor_cache) = agent.actor_forward(states, adj);
+        let actor_grads = agent.actor_gradients(&actor_cache, &weights, adj);
+        let layers = agent.actor_layers_mut().count();
+        for (l, (dw, _)) in (0..layers).zip(&actor_grads) {
+            let entries = sampled_entries(agent.actor_layers_mut().nth(l).unwrap());
+            for entry in entries {
+                let numeric = central_difference(|delta| {
+                    nudge(agent.actor_layers_mut().nth(l).unwrap(), entry, delta);
+                    let value = loss(&agent);
+                    nudge(agent.actor_layers_mut().nth(l).unwrap(), entry, -delta);
+                    value
+                });
+                assert_gradient(
+                    dw[entry],
+                    numeric,
+                    &format!("actor layer {l} dL/dW{entry:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn toy_agent_gradients_match_finite_differences() {
+        for kind in [AgentKind::Gcn, AgentKind::NonGcn] {
+            let (agent, states, adj) = toy_agent(kind);
+            check_agent_gradients(agent, &states, &adj);
+        }
+    }
+
+    #[test]
+    fn default_network_gradients_match_finite_differences_on_a_paper_circuit() {
+        use crate::{EngineConfig, FomConfig, SizingEnv, StateEncoding};
+        use gcnrl_circuit::{benchmarks::Benchmark, TechnologyNode};
+        use gcnrl_rl::DdpgConfig;
+
+        let env = SizingEnv::with_engine_config(
+            Benchmark::ThreeStageTia,
+            &TechnologyNode::tsmc180(),
+            FomConfig::new(Vec::new()),
+            StateEncoding::ScalarIndex,
+            EngineConfig::serial(),
+        );
+        let config = DdpgConfig::default();
+        let agent = GcnAgent::new(
+            AgentKind::Gcn,
+            env.states().cols(),
+            config.hidden_dim,
+            config.gcn_layers,
+            &env.component_types(),
+            config.actor_lr,
+            config.critic_lr,
+            3,
+        );
+        check_agent_gradients(agent, env.states(), env.adjacency());
     }
 
     #[test]

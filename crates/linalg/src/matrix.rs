@@ -1,7 +1,7 @@
 use crate::LinalgError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub};
 
 /// A dense, row-major matrix of `f64` values.
 ///
@@ -62,11 +62,14 @@ impl Matrix {
     }
 
     /// Creates a matrix by evaluating `f(row, col)` for every entry.
+    ///
+    /// Entries are visited row by row, columns ascending, so a stateful `f`
+    /// (a seeded generator, say) fills the same matrix on every call.
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
         let mut m = Matrix::zeros(rows, cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                m[(r, c)] = f(r, c);
+        for (r, row) in m.data.chunks_exact_mut(cols).enumerate() {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = f(r, c);
             }
         }
         m
@@ -183,10 +186,23 @@ impl Matrix {
 
     /// Matrix transpose.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                out.data[c * self.rows + r] = x;
+            }
+        }
+        out
     }
 
     /// Matrix product `self * rhs`.
+    ///
+    /// Every output element sums its products in ascending inner index from
+    /// `+0.0`, one rounding per multiply and one per add (no fused
+    /// multiply-add), skipping terms whose left factor is zero, which leaves
+    /// a finite sum unchanged. The result is bit-identical to the naive
+    /// triple loop; register blocking only changes which elements are
+    /// computed together.
     ///
     /// # Errors
     ///
@@ -200,23 +216,52 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, b) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * b;
-                }
-            }
+        gemm::<true>(self.into(), rhs.into(), 0.0, &mut out.data);
+        Ok(out)
+    }
+
+    /// Block-diagonal product: left-multiplies every `self.cols()`-row block
+    /// of `rhs` by `self` and stacks the results.
+    ///
+    /// With `rhs` holding `B` matrices of `self.cols()` rows one above the
+    /// other, block `k` of the result is `self * rhs_k`, bit-identical to
+    /// [`Matrix::matmul`] on that block alone.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::ShapeMismatch`] if `rhs.rows()` is not a
+    /// multiple of `self.cols()`.
+    pub fn matmul_row_blocks(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
+        if !rhs.rows.is_multiple_of(self.cols) {
+            return Err(LinalgError::ShapeMismatch {
+                op: "matmul_row_blocks",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let blocks = rhs.rows / self.cols;
+        let mut out = Matrix::zeros(self.rows * blocks, rhs.cols);
+        for (block, out_block) in rhs
+            .data
+            .chunks_exact(self.cols * rhs.cols)
+            .zip(out.data.chunks_exact_mut(self.rows * rhs.cols))
+        {
+            let block = MatRef {
+                data: block,
+                rows: self.cols,
+                cols: rhs.cols,
+            };
+            gemm::<true>(self.into(), block, 0.0, out_block);
         }
         Ok(out)
     }
 
-    /// Matrix product `self^T * rhs` without materialising the transpose.
+    /// Matrix product `self^T * rhs`.
+    ///
+    /// Accumulates like [`Matrix::matmul`]: ascending inner index (the
+    /// shared row index) from `+0.0`, zero left factors skipped. `self` is
+    /// transposed once (`rows x cols` copies against `rows x cols x
+    /// rhs.cols()` multiply-adds) so the kernel reads both operands by row.
     ///
     /// # Errors
     ///
@@ -230,22 +275,16 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            let rhs_row = rhs.row(i);
-            for (k, &a) in lhs_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                for (o, &b) in out.row_mut(k).iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm::<true>((&self.transpose()).into(), rhs.into(), 0.0, &mut out.data);
         Ok(out)
     }
 
-    /// Matrix product `self * rhs^T` without materialising the transpose.
+    /// Matrix product `self * rhs^T`.
+    ///
+    /// Every output element is the dot product of a row of `self` and a row
+    /// of `rhs` summed like `Iterator::sum`: from `-0.0`, ascending inner
+    /// index, no terms skipped. `rhs` is transposed once so the kernel runs
+    /// as an axpy over the inner index.
     ///
     /// # Errors
     ///
@@ -259,12 +298,7 @@ impl Matrix {
             });
         }
         let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for j in 0..rhs.rows {
-                out[(i, j)] = lhs_row.iter().zip(rhs.row(j)).map(|(a, b)| a * b).sum();
-            }
-        }
+        gemm::<false>(self.into(), (&rhs.transpose()).into(), -0.0, &mut out.data);
         Ok(out)
     }
 
@@ -378,6 +412,104 @@ impl Matrix {
     }
 }
 
+/// Output rows a GEMM tile keeps in registers. Three rows of `TILE_COLS`
+/// accumulators take twelve of the sixteen SSE2 registers of the x86-64
+/// baseline; on the agent's `n x 64` shapes two and three rows measure
+/// level, and four rows spill.
+const TILE_ROWS: usize = 3;
+/// Output columns a GEMM tile keeps in registers.
+const TILE_COLS: usize = 8;
+
+/// A borrowed row-major GEMM operand.
+#[derive(Clone, Copy)]
+struct MatRef<'a> {
+    data: &'a [f64],
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        MatRef {
+            data: &m.data,
+            rows: m.rows,
+            cols: m.cols,
+        }
+    }
+}
+
+/// `out[i][j] = init + sum_k lhs[i][k] * rhs[k][j]`, written row-major.
+///
+/// Each output element starts at `init` and adds `lhs[i][k] * rhs[k][j]`
+/// for `k` ascending, one rounding per multiply and one per add. With
+/// `SKIP_ZERO`, a term whose `lhs[i][k]` is zero is skipped. Tiles of
+/// `TILE_ROWS x TILE_COLS` accumulators stay in registers across the whole
+/// `k` loop; tiling never changes an element's order of operations.
+fn gemm<const SKIP_ZERO: bool>(lhs: MatRef<'_>, rhs: MatRef<'_>, init: f64, out: &mut [f64]) {
+    debug_assert_eq!(lhs.cols, rhs.rows);
+    debug_assert_eq!(out.len(), lhs.rows * rhs.cols);
+    let mut i = 0;
+    while i + TILE_ROWS <= lhs.rows {
+        tile_row::<TILE_ROWS, SKIP_ZERO>(lhs, rhs, init, out, i);
+        i += TILE_ROWS;
+    }
+    while i < lhs.rows {
+        tile_row::<1, SKIP_ZERO>(lhs, rhs, init, out, i);
+        i += 1;
+    }
+}
+
+/// Output rows `i0..i0 + R` of [`gemm`], tile by tile across the columns.
+fn tile_row<const R: usize, const SKIP_ZERO: bool>(
+    lhs: MatRef<'_>,
+    rhs: MatRef<'_>,
+    init: f64,
+    out: &mut [f64],
+    i0: usize,
+) {
+    let mut j = 0;
+    while j + TILE_COLS <= rhs.cols {
+        tile::<R, TILE_COLS, SKIP_ZERO>(lhs, rhs, init, out, i0, j);
+        j += TILE_COLS;
+    }
+    while j < rhs.cols {
+        tile::<R, 1, SKIP_ZERO>(lhs, rhs, init, out, i0, j);
+        j += 1;
+    }
+}
+
+/// One `R x C` output tile of [`gemm`] at `(i0, j0)`.
+#[inline(always)]
+fn tile<const R: usize, const C: usize, const SKIP_ZERO: bool>(
+    lhs: MatRef<'_>,
+    rhs: MatRef<'_>,
+    init: f64,
+    out: &mut [f64],
+    i0: usize,
+    j0: usize,
+) {
+    let depth = lhs.cols;
+    let mut acc = [[init; C]; R];
+    let mut b = [0.0; C];
+    for k in 0..depth {
+        let start = k * rhs.cols + j0;
+        b.copy_from_slice(&rhs.data[start..start + C]);
+        for (r, acc_row) in acc.iter_mut().enumerate() {
+            let a = lhs.data[(i0 + r) * depth + k];
+            if SKIP_ZERO && a == 0.0 {
+                continue;
+            }
+            for c in 0..C {
+                acc_row[c] += a * b[c];
+            }
+        }
+    }
+    for (r, acc_row) in acc.iter().enumerate() {
+        let start = (i0 + r) * rhs.cols + j0;
+        out[start..start + C].copy_from_slice(acc_row);
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f64;
 
@@ -399,6 +531,20 @@ impl Add for &Matrix {
 
     fn add(self, rhs: &Matrix) -> Matrix {
         self.add_elem(rhs).expect("matrix addition shape mismatch")
+    }
+}
+
+impl AddAssign<&Matrix> for Matrix {
+    /// Element-wise `self += rhs`, in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    fn add_assign(&mut self, rhs: &Matrix) {
+        assert_eq!(self.shape(), rhs.shape(), "matrix addition shape mismatch");
+        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += b;
+        }
     }
 }
 
@@ -546,6 +692,9 @@ mod tests {
         let a = Matrix::identity(2);
         let b = Matrix::identity(2);
         assert_eq!((&a + &b)[(0, 0)], 2.0);
+        let mut c = a.clone();
+        c += &b;
+        assert_eq!(c, &a + &b);
         assert_eq!((&a - &b)[(0, 0)], 0.0);
         assert_eq!((&a * &b), a);
     }

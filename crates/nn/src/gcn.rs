@@ -11,22 +11,27 @@ use gcnrl_linalg::Matrix;
 
 /// Aggregates node features over the graph: `H' = Â H`.
 ///
+/// `features` may stack the node features of several samples of the same
+/// graph row-wise (`B·n` rows for `n` nodes); each `n`-row block is
+/// aggregated on its own, bit-identically to a call with that block alone.
+///
 /// # Panics
 ///
-/// Panics if `adjacency` is not square or its dimension does not match the
-/// number of rows of `features`.
+/// Panics if `adjacency` is not square or the number of rows of `features`
+/// is not a multiple of its dimension.
 pub fn gcn_propagate(adjacency: &Matrix, features: &Matrix) -> Matrix {
     assert_eq!(
         adjacency.rows(),
         adjacency.cols(),
         "adjacency must be square"
     );
-    assert_eq!(
-        adjacency.cols(),
-        features.rows(),
+    assert!(
+        features.rows().is_multiple_of(adjacency.cols()),
         "adjacency and feature dimensions must match"
     );
-    adjacency.matmul(features).expect("dimensions checked")
+    adjacency
+        .matmul_row_blocks(features)
+        .expect("dimensions checked")
 }
 
 /// Backward pass of [`gcn_propagate`]: with a symmetric `Â`,
@@ -96,6 +101,20 @@ mod tests {
         let lhs = gcn_propagate(&a_hat, &h).hadamard(&g).unwrap().sum();
         let rhs = h.hadamard(&gcn_backprop(&a_hat, &g)).unwrap().sum();
         assert!((lhs - rhs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stacked_features_aggregate_block_by_block() {
+        let a_hat = path3();
+        let h1 = Matrix::from_fn(3, 2, |r, c| (r + c) as f64 * 0.5);
+        let h2 = Matrix::from_fn(3, 2, |r, c| (r as f64 - c as f64) * 0.3);
+        let mut stacked = h1.as_slice().to_vec();
+        stacked.extend_from_slice(h2.as_slice());
+        let stacked = Matrix::from_vec(6, 2, stacked).unwrap();
+        let out = gcn_propagate(&a_hat, &stacked);
+        let mut want = gcn_propagate(&a_hat, &h1).as_slice().to_vec();
+        want.extend_from_slice(gcn_propagate(&a_hat, &h2).as_slice());
+        assert_eq!(out.as_slice(), &want[..]);
     }
 
     #[test]

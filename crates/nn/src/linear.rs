@@ -1,3 +1,4 @@
+use crate::Adam;
 use gcnrl_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,6 +24,14 @@ pub struct Linear {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearCache {
     input: SharedMatrix,
+}
+
+impl LinearCache {
+    /// A cache for a forward pass whose input was `input`: lets a pass run
+    /// on several inputs stacked row-wise and be back-propagated per input.
+    pub fn new(input: SharedMatrix) -> Self {
+        LinearCache { input }
+    }
 }
 
 /// Gradients produced by [`Linear::backward`].
@@ -98,9 +107,9 @@ impl Linear {
     pub fn forward(&self, x: &SharedMatrix) -> (Matrix, LinearCache) {
         assert_eq!(x.cols(), self.in_dim(), "input feature dimension mismatch");
         let mut y = x.matmul(&self.weight).expect("dimensions checked");
-        for r in 0..y.rows() {
-            for c in 0..y.cols() {
-                y[(r, c)] += self.bias[c];
+        for row in y.as_mut_slice().chunks_exact_mut(self.bias.len()) {
+            for (v, b) in row.iter_mut().zip(&self.bias) {
+                *v += b;
             }
         }
         (y, LinearCache { input: x.clone() })
@@ -120,9 +129,13 @@ impl Linear {
             .input
             .matmul_transa(d_output)
             .expect("dimensions checked");
-        let d_bias: Vec<f64> = (0..self.out_dim())
-            .map(|c| (0..d_output.rows()).map(|r| d_output[(r, c)]).sum())
-            .collect();
+        // Column sums, rows ascending from -0.0 like `Iterator::sum`.
+        let mut d_bias = vec![-0.0; self.out_dim()];
+        for row in d_output.as_slice().chunks_exact(self.out_dim()) {
+            for (b, d) in d_bias.iter_mut().zip(row) {
+                *b += d;
+            }
+        }
         let d_input = d_output
             .matmul_transb(&self.weight)
             .expect("dimensions checked");
@@ -133,41 +146,26 @@ impl Linear {
         }
     }
 
-    /// Applies a parameter update: `W -= lr_scaled_dw`, `b -= lr_scaled_db`.
-    /// The caller (the Adam optimiser) is responsible for scaling.
+    /// Takes one Adam step on the weights (moments in `opt_w`) and the bias
+    /// (moments in `opt_b`), in place.
     ///
     /// # Panics
     ///
-    /// Panics if the update shapes do not match the parameters.
-    pub fn apply_update(&mut self, d_weight: &Matrix, d_bias: &[f64]) {
+    /// Panics if the gradient or optimiser sizes do not match the parameters.
+    pub fn apply_update(
+        &mut self,
+        opt_w: &mut Adam,
+        opt_b: &mut Adam,
+        d_weight: &Matrix,
+        d_bias: &[f64],
+    ) {
         assert_eq!(
             d_weight.shape(),
             self.weight.shape(),
             "weight shape mismatch"
         );
-        assert_eq!(d_bias.len(), self.bias.len(), "bias length mismatch");
-        self.weight = self.weight.sub_elem(d_weight).expect("shape checked");
-        for (b, d) in self.bias.iter_mut().zip(d_bias) {
-            *b -= d;
-        }
-    }
-
-    /// Blends this layer's parameters towards `target` (Polyak averaging used
-    /// by DDPG target networks): `self = tau * target + (1 - tau) * self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two layers have different shapes.
-    pub fn soft_update_from(&mut self, target: &Linear, tau: f64) {
-        assert_eq!(self.weight.shape(), target.weight.shape(), "shape mismatch");
-        self.weight = self
-            .weight
-            .scaled(1.0 - tau)
-            .add_elem(&target.weight.scaled(tau))
-            .expect("shape checked");
-        for (b, t) in self.bias.iter_mut().zip(&target.bias) {
-            *b = *b * (1.0 - tau) + t * tau;
-        }
+        opt_w.step(self.weight.as_mut_slice(), d_weight.as_slice());
+        opt_b.step(&mut self.bias, d_bias);
     }
 }
 
@@ -233,18 +231,17 @@ mod tests {
     #[test]
     fn apply_update_moves_parameters() {
         let mut layer = Linear::from_parameters(Matrix::identity(2), vec![0.0, 0.0]);
-        layer.apply_update(&Matrix::filled(2, 2, 0.1), &[0.2, 0.2]);
-        assert!((layer.weight()[(0, 0)] - 0.9).abs() < 1e-12);
-        assert!((layer.bias()[0] + 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soft_update_interpolates() {
-        let mut a = Linear::from_parameters(Matrix::filled(1, 1, 0.0), vec![0.0]);
-        let b = Linear::from_parameters(Matrix::filled(1, 1, 1.0), vec![1.0]);
-        a.soft_update_from(&b, 0.25);
-        assert!((a.weight()[(0, 0)] - 0.25).abs() < 1e-12);
-        assert!((a.bias()[0] - 0.25).abs() < 1e-12);
+        let (mut opt_w, mut opt_b) = (Adam::new(4, 0.1), Adam::new(2, 0.1));
+        let d_weight = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
+        layer.apply_update(&mut opt_w, &mut opt_b, &d_weight, &[1.0, 0.0]);
+        // A first Adam step moves each parameter with a non-zero gradient by
+        // ~lr against the gradient's sign and leaves the others in place.
+        assert!((layer.weight()[(0, 0)] - 0.9).abs() < 1e-6);
+        assert!((layer.weight()[(1, 1)] - 1.1).abs() < 1e-6);
+        assert_eq!(layer.weight()[(0, 1)], 0.0);
+        assert!((layer.bias()[0] + 0.1).abs() < 1e-6);
+        assert_eq!(layer.bias()[1], 0.0);
+        assert_eq!((opt_w.steps(), opt_b.steps()), (1, 1));
     }
 
     #[test]
