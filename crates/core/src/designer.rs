@@ -8,6 +8,10 @@ use gcnrl_rl::{DdpgConfig, EmaBaseline, ExplorationNoise, ReplayBuffer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Correlation of the `k` exploration perturbations within one rollout round
+/// (see [`ExplorationNoise::sample_correlated`]); irrelevant at `k = 1`.
+const ROLLOUT_RHO: f64 = 0.5;
+
 /// The GCN-RL Circuit Designer: DDPG over the circuit graph.
 ///
 /// # Examples
@@ -96,14 +100,6 @@ impl GcnRlDesigner {
     /// shrink with `k`.  With `rollout_k = 1` the pipeline is bit-identical
     /// to the classic serial trainer (pinned by the `serial_equivalence`
     /// regression test).
-    ///
-    /// When `config.rollout_k_max > rollout_k`, the round width additionally
-    /// grows from `rollout_k` toward `rollout_k_max` as the exploration
-    /// noise decays (see [`DdpgConfig::rollout_width_at`]): early training
-    /// keeps narrow rounds (frequent updates while the policy is moving),
-    /// late training widens the speculative batches when candidates cluster
-    /// and the cache absorbs most of the extra evaluations. The simulation
-    /// budget is unchanged — `episodes` still counts simulations.
     pub fn run(&mut self) -> RunHistory {
         self.run_observed(&mut |_| {})
     }
@@ -145,28 +141,23 @@ impl GcnRlDesigner {
         observer(&history);
 
         // (2) Exploration rounds: propose → evaluate → learn.
-        let rho = self.config.rollout_rho.clamp(0.0, 1.0);
         let mut episode = warmup;
         while episode < self.config.episodes {
-            // Adaptive widening: early rounds stay at `rollout_k` (every
-            // network update still sees high-entropy feedback); as the noise
-            // decays toward exploitation the width grows toward
-            // `rollout_k_max`, trading update count for batch throughput
-            // exactly when the candidates cluster and cache/dedup absorb
-            // most of the extra cost. `rollout_k_max = 0` (default) keeps
-            // the width fixed, which the serial-equivalence test pins.
+            // The last round is truncated when `rollout_k` does not divide
+            // the exploration budget.
             let width = self
                 .config
-                .rollout_width_at(noise.decay_progress())
+                .rollout_k
+                .max(1)
                 .min(self.config.episodes - episode);
 
             // Propose: one policy action, `width` correlated perturbations.
-            let (base, proposals): (Matrix, Vec<Matrix>) = {
+            let proposals: Vec<Matrix> = {
                 let _propose = gcnrl_telemetry::span!("train.propose.ns", width = width);
                 let base = self.agent.act(&states, &adjacency);
                 let entries = base.rows() * base.cols();
-                let proposals = noise
-                    .sample_correlated(width, entries, rho)
+                noise
+                    .sample_correlated(width, entries, ROLLOUT_RHO)
                     .into_iter()
                     .map(|perturbation| {
                         let mut actions = base.clone();
@@ -175,22 +166,15 @@ impl GcnRlDesigner {
                         }
                         actions
                     })
-                    .collect();
-                (base, proposals)
+                    .collect()
             };
             noise.decay_step();
 
             // Evaluate: the whole round is one engine batch (parallel fan-out
-            // plus cache dedup of near-quantized repeat candidates). With
-            // grouped rollouts the unperturbed policy action anchors a shared
-            // base factorisation inside the solver.
+            // plus cache dedup of near-quantized repeat candidates).
             let rollouts = {
                 let _evaluate = gcnrl_telemetry::span!("train.evaluate.ns", width = width);
-                if self.config.grouped_rollouts {
-                    self.env.rollout_actions_with_base(&base, proposals)
-                } else {
-                    self.env.rollout_actions(proposals)
-                }
+                self.env.rollout_actions(proposals)
             };
 
             // Learn: every candidate enters the history and the replay
@@ -209,16 +193,11 @@ impl GcnRlDesigner {
             baseline.update(best.reward);
 
             let step_seed = self.config.seed ^ (history.len() as u64 - 1);
-            // Uniform sampling is the default (and the serial-equivalence
-            // pin); the prioritized path replays high-priority rollouts
-            // (rank-weighted) recorded by the pipeline.
-            let sampled = if self.config.prioritized_replay {
-                replay.sample_prioritized(self.config.batch_size, step_seed)
-            } else {
-                replay.sample(self.config.batch_size, step_seed)
-            };
-            let batch: Vec<(Matrix, f64)> =
-                sampled.into_iter().map(|(a, r)| (a.clone(), r)).collect();
+            let batch: Vec<(Matrix, f64)> = replay
+                .sample(self.config.batch_size, step_seed)
+                .into_iter()
+                .map(|(a, r)| (a.clone(), r))
+                .collect();
             self.agent
                 .critic_update(&states, &adjacency, &batch, baseline.value());
             self.agent.actor_update(&states, &adjacency);
@@ -311,38 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_rollout_widens_rounds_as_noise_decays_on_the_same_budget() {
-        let node = TechnologyNode::tsmc180();
-        let fom = FomConfig::calibrated(Benchmark::TwoStageTia, &node, 8, 0);
-        let env = SizingEnv::new(Benchmark::TwoStageTia, &node, fom);
-        // Fast decay (0.5/round) so the widening is visible in a short run:
-        // widths go 2, then 2 + floor(4 * (1 - 0.5^r)) per round.
-        let cfg = DdpgConfig {
-            noise_decay: 0.5,
-            ..tiny_config()
-        }
-        .with_budget(40, 4)
-        .with_rollout_k(2)
-        .with_adaptive_rollout(6);
-        let mut designer = GcnRlDesigner::new(env, cfg);
-        let mut lengths = Vec::new();
-        let history = designer.run_observed(&mut |h| lengths.push(h.len()));
-        let widths: Vec<usize> = lengths.windows(2).map(|w| w[1] - w[0]).collect();
-        // Budget is exact: 4 warm-up + exploration rounds summing to 36.
-        assert_eq!(history.len(), 40);
-        assert_eq!(lengths[0], 4);
-        assert_eq!(widths.iter().sum::<usize>(), 36);
-        // The first exploration round runs at rollout_k, later rounds widen
-        // monotonically toward the ceiling.
-        assert_eq!(widths[0], 2);
-        assert!(widths.windows(2).all(|w| w[1] >= w[0]), "widths {widths:?}");
-        assert!(
-            *widths.iter().max().unwrap() >= 5,
-            "rounds never widened: {widths:?}"
-        );
-    }
-
-    #[test]
     fn observer_sees_warmup_plus_one_call_per_round() {
         let node = TechnologyNode::tsmc180();
         let fom = FomConfig::calibrated(Benchmark::TwoStageTia, &node, 8, 0);
@@ -354,27 +301,6 @@ mod tests {
         // Warm-up (10 sims) then 20 exploration sims in rounds of 5.
         assert_eq!(lengths, vec![10, 15, 20, 25, 30]);
         assert_eq!(history.len(), 30);
-    }
-
-    #[test]
-    fn prioritized_replay_runs_deterministically_and_differs_from_uniform() {
-        let node = TechnologyNode::tsmc180();
-        let fom = FomConfig::calibrated(Benchmark::TwoStageTia, &node, 8, 0);
-        let run = |prioritized: bool| {
-            let env = SizingEnv::new(Benchmark::TwoStageTia, &node, fom.clone());
-            let mut cfg = tiny_config().with_rollout_k(3);
-            if prioritized {
-                cfg = cfg.with_prioritized_replay();
-            }
-            GcnRlDesigner::new(env, cfg).run()
-        };
-        let prioritized = run(true);
-        assert_eq!(prioritized.len(), 30);
-        assert!(prioritized.best_fom().is_finite());
-        assert_eq!(prioritized, run(true), "prioritized runs must be seeded");
-        // The sampling scheme changes the mini-batches, hence the policy
-        // trajectory (identical trajectories would mean the flag is dead).
-        assert_ne!(prioritized.best_curve(), run(false).best_curve());
     }
 
     #[test]

@@ -266,33 +266,6 @@ impl SizingEnv {
         self.evaluate_batch(params)
     }
 
-    /// [`SizingEnv::evaluate_actions_batch`] with a grouping hint: the
-    /// actions are perturbations of the shared `base` action (one rollout
-    /// round), so grouped-solver backends factor the base sizing once and
-    /// correct each candidate through rank-k updates. Outcomes match the
-    /// unhinted path to solver accuracy, not bit-exactly.
-    pub fn evaluate_actions_batch_with_base(
-        &self,
-        base: &Matrix,
-        actions: &[Matrix],
-    ) -> Vec<StepOutcome> {
-        let base_params = self.actions_to_params(base);
-        let params: Vec<ParamVector> = actions.iter().map(|a| self.actions_to_params(a)).collect();
-        let reports = self.engine.evaluate_batch_with_base(&base_params, &params);
-        params
-            .into_iter()
-            .zip(reports)
-            .map(|(params, report)| {
-                let fom = self.fom.fom(&report);
-                StepOutcome {
-                    params,
-                    report,
-                    fom,
-                }
-            })
-            .collect()
-    }
-
     /// Evaluates a flat unit vector in `[0, 1]^num_parameters`; this is the
     /// interface the black-box baselines use (thin wrapper over
     /// [`SizingEnv::evaluate_units`] with a batch of one).
@@ -316,30 +289,11 @@ impl SizingEnv {
     }
 
     /// Evaluates a batch of action matrices and packages them as a
-    /// [`RolloutBatch`] (reward = FoM, priority defaulting to the reward):
+    /// [`RolloutBatch`] (reward = FoM):
     /// the unit the batched exploration pipeline and the replay buffer
     /// consume.
     pub fn rollout_actions(&self, actions: Vec<Matrix>) -> RolloutBatch<Matrix, StepOutcome> {
         let outcomes = self.evaluate_actions_batch(&actions);
-        actions
-            .into_iter()
-            .zip(outcomes)
-            .map(|(action, outcome)| {
-                let fom = outcome.fom;
-                (action, outcome, fom)
-            })
-            .collect()
-    }
-
-    /// [`SizingEnv::rollout_actions`] with a grouping hint (see
-    /// [`SizingEnv::evaluate_actions_batch_with_base`]): `base` is the
-    /// round's unperturbed policy action the proposals were jittered from.
-    pub fn rollout_actions_with_base(
-        &self,
-        base: &Matrix,
-        actions: Vec<Matrix>,
-    ) -> RolloutBatch<Matrix, StepOutcome> {
-        let outcomes = self.evaluate_actions_batch_with_base(base, &actions);
         actions
             .into_iter()
             .zip(outcomes)
@@ -423,48 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn grouped_rollouts_match_ungrouped_rollouts() {
-        // Two independent engines (separate caches) so the grouped path
-        // actually simulates instead of replaying the other path's cache.
-        let node = TechnologyNode::tsmc180();
-        let fom = FomConfig::calibrated(Benchmark::TwoStageTia, &node, 8, 0);
-        let make = || {
-            SizingEnv::with_engine_config(
-                Benchmark::TwoStageTia,
-                &node,
-                fom.clone(),
-                StateEncoding::ScalarIndex,
-                EngineConfig::serial(),
-            )
-        };
-        let plain = make();
-        let grouped = make();
-        let base = Matrix::zeros(plain.num_components(), 3);
-        let mut rng = StdRng::seed_from_u64(11);
-        let actions: Vec<Matrix> = (0..3)
-            .map(|_| {
-                let mut a = base.clone();
-                for v in a.as_mut_slice() {
-                    *v = (*v + rng.gen_range(-0.05..0.05)).clamp(-1.0, 1.0);
-                }
-                a
-            })
-            .collect();
-        let reference = plain.rollout_actions(actions.clone());
-        let batched = grouped.rollout_actions_with_base(&base, actions);
-        assert_eq!(reference.len(), batched.len());
-        for (r, b) in reference.iter().zip(batched.iter()) {
-            assert_eq!(r.outcome.params, b.outcome.params);
-            assert!(
-                (r.reward - b.reward).abs() <= 1e-6 * (1.0 + r.reward.abs()),
-                "grouped reward {} vs {}",
-                b.reward,
-                r.reward
-            );
-        }
-    }
-
-    #[test]
     fn random_actions_are_in_range_and_legal() {
         let e = env();
         let mut rng = StdRng::seed_from_u64(3);
@@ -512,10 +424,31 @@ mod tests {
             assert_eq!(r.action, units[i]);
             assert_eq!(r.outcome, outcomes[i]);
             assert_eq!(r.reward, outcomes[i].fom);
-            assert_eq!(r.priority, r.reward);
         }
         let best = batch.best().expect("non-empty batch");
         assert!(batch.iter().all(|r| r.reward <= best.reward));
+
+        // Action rollouts on an independent engine (its own cache, so every
+        // candidate is simulated afresh) carry the same refined sizings and
+        // FoMs as the batch path.
+        let node = TechnologyNode::tsmc180();
+        let fresh = SizingEnv::with_engine_config(
+            Benchmark::TwoStageTia,
+            &node,
+            e.fom_config().clone(),
+            StateEncoding::ScalarIndex,
+            EngineConfig::serial(),
+        );
+        let mut rng = StdRng::seed_from_u64(11);
+        let actions: Vec<Matrix> = (0..3).map(|_| e.random_actions(&mut rng)).collect();
+        let expected = e.evaluate_actions_batch(&actions);
+        let rollouts = fresh.rollout_actions(actions.clone());
+        assert_eq!(rollouts.len(), actions.len());
+        for ((r, action), outcome) in rollouts.iter().zip(&actions).zip(&expected) {
+            assert_eq!(&r.action, action);
+            assert_eq!(&r.outcome, outcome);
+            assert_eq!(r.reward, outcome.fom);
+        }
     }
 
     #[test]

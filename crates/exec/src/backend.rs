@@ -11,6 +11,10 @@
 //! * a [`SessionHandle`](crate::SessionHandle) — one client of an
 //!   [`EvalService`](crate::EvalService) multiplexing many concurrent
 //!   sessions onto one engine + cache.
+//!
+//! The trait has one evaluation entry point, [`EvalBackend::evaluate_batch`]:
+//! a batch carries no grouping hint, so every backend simulates each
+//! candidate the same way and returns bit-identical reports.
 
 use crate::engine::BatchEvaluator;
 use crate::stats::{BatchReport, ExecStats};
@@ -39,22 +43,6 @@ pub trait EvalBackend: Send + Sync {
     /// Evaluates a batch of candidates, returning reports in input order.
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport>;
 
-    /// Evaluates a batch of candidates known to cluster around the shared
-    /// `base` sizing (a rollout round's unperturbed action): backends with
-    /// grouped solver support factor the base once and correct candidates
-    /// through rank-k updates. The default ignores the hint and forwards to
-    /// [`EvalBackend::evaluate_batch`], which remote/session backends keep
-    /// (the wire protocol carries no base). Grouped results match the
-    /// per-candidate path to solver accuracy, not bit-exactly.
-    fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        let _ = base;
-        self.evaluate_batch(params)
-    }
-
     /// Cumulative statistics of the engine serving this backend. For session
     /// backends the statistics cover the whole shared engine, so concurrent
     /// sessions see each other's cache hits here.
@@ -79,14 +67,6 @@ impl EvalBackend for BatchEvaluator {
 
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
         BatchEvaluator::evaluate_batch(self, params)
-    }
-
-    fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        BatchEvaluator::evaluate_batch_with_base(self, base, params)
     }
 
     fn stats(&self) -> ExecStats {
@@ -115,14 +95,6 @@ impl<T: EvalBackend + ?Sized> EvalBackend for Arc<T> {
 
     fn evaluate_batch(&self, params: &[ParamVector]) -> Vec<PerformanceReport> {
         (**self).evaluate_batch(params)
-    }
-
-    fn evaluate_batch_with_base(
-        &self,
-        base: &ParamVector,
-        params: &[ParamVector],
-    ) -> Vec<PerformanceReport> {
-        (**self).evaluate_batch_with_base(base, params)
     }
 
     fn stats(&self) -> ExecStats {

@@ -475,30 +475,6 @@ impl<T: SparseScalar> SparseLu<T> {
         self.factored
     }
 
-    /// Solves `A eᵣ = w` for the unit right-hand side at original row `row`.
-    ///
-    /// These columns of `A⁻¹` are the building blocks of Sherman–Morrison–
-    /// Woodbury corrections (see [`super::RankUpdate`]); they depend only on
-    /// the base factorisation, so callers batching many low-rank updates can
-    /// solve each distinct row once and share the column.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::solve`], plus [`LinalgError::InvalidDimensions`]
-    /// when `row` is out of range.
-    pub fn solve_unit(&self, row: usize) -> Result<Vec<T>, LinalgError> {
-        if row >= self.symbolic.n {
-            return Err(LinalgError::InvalidDimensions {
-                reason: "unit solve row out of range",
-            });
-        }
-        let mut e = vec![T::ZERO; self.symbolic.n];
-        e[row] = T::ONE;
-        let mut scratch = vec![T::ZERO; self.symbolic.n];
-        self.solve_with_scratch(&mut e, &mut scratch)?;
-        Ok(e)
-    }
-
     /// Solves `A x = b` and applies one step of iterative refinement using the
     /// assembled matrix `a`, recovering the accuracy lost to static (pattern-
     /// chosen) pivoting on poorly scaled systems.

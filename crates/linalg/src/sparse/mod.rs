@@ -16,9 +16,6 @@
 //! * [`SparseLu`] — numeric factorisation state that replays the elimination
 //!   over the precomputed structure on every [`SparseLu::refactor`] with no
 //!   allocation, then serves any number of right-hand sides.
-//! * [`RankUpdate`] / [`solve_updated`] — Sherman–Morrison–Woodbury rank-k
-//!   corrections over a base factorisation, so candidates that differ from a
-//!   base matrix in a handful of slots skip the refactor entirely.
 //! * [`SoaLu`] — struct-of-arrays complex kernels that factor and solve up
 //!   to [`SOA_LANES`] frequency points per pass over split re/im arrays,
 //!   each lane bit-identical to the scalar path.
@@ -47,11 +44,9 @@ mod csr;
 mod lu;
 mod pattern;
 mod scalar;
-mod update;
 
 pub use cmplx_soa::{SoaLu, SOA_LANES};
 pub use csr::{CsrMatrix, TripletBuilder};
 pub use lu::{splu, SparseLu, SymbolicLu};
 pub use pattern::SparsityPattern;
 pub use scalar::SparseScalar;
-pub use update::{distinct_rows, solve_updated, RankUpdate};

@@ -37,29 +37,6 @@ pub struct DdpgConfig {
     /// the serial trainer bit-identically; larger values trade policy updates
     /// for parallel environment throughput at the same simulation budget.
     pub rollout_k: usize,
-    /// Correlation of the `k` exploration perturbations within one rollout
-    /// round (see `ExplorationNoise::sample_correlated`); ignored at `k = 1`.
-    pub rollout_rho: f64,
-    /// Adaptive rollout ceiling: when greater than `rollout_k`, the rollout
-    /// width grows linearly from `rollout_k` toward this value as the
-    /// exploration noise decays (`width = k + (k_max - k) * decay_progress`,
-    /// rounded down) — wide speculative batches are cheap once the policy
-    /// has mostly converged and candidates cluster. `0` (the default) keeps
-    /// the width fixed at `rollout_k`.
-    pub rollout_k_max: usize,
-    /// When `true`, mini-batches are drawn with rank-based prioritized
-    /// sampling (`ReplayBuffer::sample_prioritized`) over the per-candidate
-    /// priorities the rollout pipeline records, instead of uniformly. The
-    /// uniform default is pinned by the serial-equivalence regression test.
-    pub prioritized_replay: bool,
-    /// When `true`, rollout batches are evaluated through the grouped
-    /// backend path (`evaluate_batch_with_base`): the round's unperturbed
-    /// policy action anchors a shared base factorisation and each candidate
-    /// is corrected through a rank-k solver update. Grouped results match
-    /// the per-candidate path to solver accuracy but not bit-exactly, so the
-    /// default stays `false` to preserve the pinned `k = 1` serial
-    /// equivalence.
-    pub grouped_rollouts: bool,
 }
 
 impl Default for DdpgConfig {
@@ -78,10 +55,6 @@ impl Default for DdpgConfig {
             gcn_layers: 7,
             seed: 0,
             rollout_k: 1,
-            rollout_rho: 0.5,
-            rollout_k_max: 0,
-            prioritized_replay: false,
-            grouped_rollouts: false,
         }
     }
 }
@@ -127,46 +100,6 @@ impl DdpgConfig {
         self.rollout_k = k.max(1);
         self
     }
-
-    /// Returns a copy with a different intra-rollout noise correlation.
-    pub fn with_rollout_rho(mut self, rho: f64) -> Self {
-        self.rollout_rho = rho.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Returns a copy that widens the rollout from `rollout_k` toward
-    /// `k_max` as the exploration noise decays. Values at or below
-    /// `rollout_k` disable the adaptation (fixed-width behaviour).
-    pub fn with_adaptive_rollout(mut self, k_max: usize) -> Self {
-        self.rollout_k_max = k_max;
-        self
-    }
-
-    /// Returns a copy that samples replay mini-batches with rank-based
-    /// prioritization instead of uniformly.
-    pub fn with_prioritized_replay(mut self) -> Self {
-        self.prioritized_replay = true;
-        self
-    }
-
-    /// Returns a copy that evaluates rollout batches through the grouped
-    /// backend path (base factorisation shared across the round's
-    /// candidates).
-    pub fn with_grouped_rollouts(mut self) -> Self {
-        self.grouped_rollouts = true;
-        self
-    }
-
-    /// The rollout width to use at a given noise-decay progress (`0` at the
-    /// start of exploration, `1` when the noise has fully decayed).
-    pub fn rollout_width_at(&self, decay_progress: f64) -> usize {
-        let k = self.rollout_k.max(1);
-        if self.rollout_k_max <= k {
-            return k;
-        }
-        let span = (self.rollout_k_max - k) as f64;
-        k + (span * decay_progress.clamp(0.0, 1.0)).floor() as usize
-    }
 }
 
 #[cfg(test)]
@@ -179,17 +112,6 @@ mod tests {
         assert!(c.warmup < c.episodes);
         assert!(c.gcn_layers >= 1);
         assert!(c.noise_decay <= 1.0);
-        // Uniform replay is the pinned default; the flag is opt-in.
-        assert!(!c.prioritized_replay);
-        assert!(c.with_prioritized_replay().prioritized_replay);
-        // Grouped rollouts are opt-in too: the default preserves the k = 1
-        // serial bit-equivalence.
-        assert!(!c.grouped_rollouts);
-        assert!(
-            DdpgConfig::default()
-                .with_grouped_rollouts()
-                .grouped_rollouts
-        );
     }
 
     #[test]
@@ -209,37 +131,9 @@ mod tests {
 
     #[test]
     fn rollout_builders_clamp_their_arguments() {
-        let c = DdpgConfig::default()
-            .with_rollout_k(8)
-            .with_rollout_rho(0.3);
-        assert_eq!(c.rollout_k, 8);
-        assert_eq!(c.rollout_rho, 0.3);
+        assert_eq!(DdpgConfig::default().with_rollout_k(8).rollout_k, 8);
         assert_eq!(DdpgConfig::default().with_rollout_k(0).rollout_k, 1);
-        assert_eq!(DdpgConfig::default().with_rollout_rho(7.0).rollout_rho, 1.0);
         // The default is the serial trainer.
         assert_eq!(DdpgConfig::default().rollout_k, 1);
-    }
-
-    #[test]
-    fn adaptive_rollout_width_grows_with_decay_progress() {
-        let c = DdpgConfig::default()
-            .with_rollout_k(2)
-            .with_adaptive_rollout(8);
-        assert_eq!(c.rollout_width_at(0.0), 2);
-        assert_eq!(c.rollout_width_at(0.5), 5);
-        assert_eq!(c.rollout_width_at(1.0), 8);
-        // Progress is clamped.
-        assert_eq!(c.rollout_width_at(7.0), 8);
-        assert_eq!(c.rollout_width_at(-1.0), 2);
-    }
-
-    #[test]
-    fn adaptive_rollout_is_disabled_by_default_and_below_k() {
-        let fixed = DdpgConfig::default().with_rollout_k(4);
-        assert_eq!(fixed.rollout_k_max, 0);
-        assert_eq!(fixed.rollout_width_at(1.0), 4);
-        // A ceiling at or below k keeps the width fixed.
-        let capped = fixed.with_adaptive_rollout(3);
-        assert_eq!(capped.rollout_width_at(1.0), 4);
     }
 }

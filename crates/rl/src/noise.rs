@@ -44,17 +44,6 @@ impl ExplorationNoise {
         self.initial_sigma
     }
 
-    /// How far the noise has decayed, in `[0, 1]`: `0` before the first
-    /// decay step, approaching `1` as `sigma` shrinks toward zero. Adaptive
-    /// rollout widening keys off this instead of raw `sigma` so the schedule
-    /// is independent of the configured starting amplitude.
-    pub fn decay_progress(&self) -> f64 {
-        if self.initial_sigma <= 0.0 {
-            return 1.0;
-        }
-        (1.0 - self.sigma / self.initial_sigma).clamp(0.0, 1.0)
-    }
-
     /// Draws one noise sample, truncated to two standard deviations.
     pub fn sample(&mut self) -> f64 {
         if self.sigma == 0.0 {
@@ -144,20 +133,6 @@ mod tests {
         assert_eq!(noise.initial_sigma(), 0.5);
         noise.reset();
         assert_eq!(noise.sigma(), 0.5);
-    }
-
-    #[test]
-    fn decay_progress_runs_from_zero_toward_one() {
-        let mut noise = ExplorationNoise::new(0.4, 0.5, 0);
-        assert_eq!(noise.decay_progress(), 0.0);
-        noise.decay_step();
-        assert!((noise.decay_progress() - 0.5).abs() < 1e-12);
-        for _ in 0..50 {
-            noise.decay_step();
-        }
-        assert!(noise.decay_progress() > 0.999);
-        // Zero-amplitude noise counts as fully decayed.
-        assert_eq!(ExplorationNoise::new(0.0, 0.9, 0).decay_progress(), 1.0);
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * [`compiled`] — the sweep hot path: circuits pre-compiled into
 //!   `Y(ω) = G + jωC` stamp slots over a shared sparsity pattern, refactored
 //!   numerically against a symbolic-once sparse LU (dense fallback for tiny
-//!   matrices), with [`solver_stats`] counting the reuse.
+//!   matrices) up to eight frequency lanes per pass, with [`solver_stats`]
+//!   counting the reuse.  Each circuit is factored and solved on its own, so
+//!   a candidate's report never depends on which other candidates shared
+//!   its batch.
 //! * [`noise`] — output-referred thermal-noise integration through the same
 //!   MNA transfer functions.
 //! * [`metrics`] — named performance metrics with "higher/lower is better"

@@ -62,57 +62,6 @@ pub fn output_noise_psd_compiled(
     Ok(total)
 }
 
-/// [`output_noise_psd_compiled`] for a `candidate` circuit that differs from
-/// an already-compiled `base` in a handful of stamp slots: the base is
-/// factored once and every injection solve is corrected through a shared
-/// Sherman–Morrison–Woodbury rank-k plan instead of factoring the candidate.
-/// A candidate with no update relationship (different topology or too many
-/// perturbed rows), an ill-conditioned plan, or a failed residual gate falls
-/// back to the candidate's own factor-once path.
-///
-/// # Errors
-///
-/// Propagates [`SimError::SingularSystem`] from the underlying solves.
-pub fn output_noise_psd_via_update(
-    base: &mut CompiledAc,
-    candidate: &mut CompiledAc,
-    sources: &[NoiseSource],
-    output: NodeIndex,
-    freq_hz: f64,
-) -> Result<f64, SimError> {
-    let Some(plan) = base.injection_update_plan(candidate, freq_hz)? else {
-        return output_noise_psd_compiled(candidate, sources, output, freq_hz);
-    };
-    let mut total = 0.0;
-    for src in sources {
-        if src.psd <= 0.0 {
-            continue;
-        }
-        match base.solve_injection_updated(&plan, src.a, src.b, freq_hz)? {
-            Some(x) => total += src.psd * x[output].abs_sq(),
-            // Residual gate tripped: the correction is not trustworthy for
-            // this circuit, so pay the candidate's own factorisation.
-            None => return output_noise_psd_compiled(candidate, sources, output, freq_hz),
-        }
-    }
-    Ok(total)
-}
-
-/// [`output_noise_psd_via_update`] as an RMS density (V/√Hz).
-///
-/// # Errors
-///
-/// Propagates [`SimError::SingularSystem`] from the underlying solves.
-pub fn output_noise_density_via_update(
-    base: &mut CompiledAc,
-    candidate: &mut CompiledAc,
-    sources: &[NoiseSource],
-    output: NodeIndex,
-    freq_hz: f64,
-) -> Result<f64, SimError> {
-    Ok(output_noise_psd_via_update(base, candidate, sources, output, freq_hz)?.sqrt())
-}
-
 /// Output-referred RMS noise voltage spectral density (V/√Hz).
 ///
 /// # Errors

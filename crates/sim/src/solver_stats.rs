@@ -15,8 +15,6 @@ static DENSE_FACTORS: AtomicU64 = AtomicU64::new(0);
 static DENSE_SOLVES: AtomicU64 = AtomicU64::new(0);
 static TEMPLATE_HITS: AtomicU64 = AtomicU64::new(0);
 static TEMPLATE_BUILDS: AtomicU64 = AtomicU64::new(0);
-static UPDATE_HITS: AtomicU64 = AtomicU64::new(0);
-static REFACTOR_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static CACHE_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot of the solver counters.
@@ -37,11 +35,13 @@ pub struct SolverStats {
     pub template_hits: u64,
     /// Templates built from scratch (first compile of a topology).
     pub template_builds: u64,
-    /// Candidate solves served by a Sherman–Morrison–Woodbury rank-k
-    /// correction against a shared base factorisation (no refactor paid).
+    /// Always zero: no solver path records it.  Kept only because the cost
+    /// ledger (`ledger/`) builds this struct as a literal and compiles
+    /// against the field.
     pub update_hits: u64,
-    /// Candidate solves that started on the update path but fell back to a
-    /// full refactor (ill-conditioned correction or failed residual gate).
+    /// Always zero: no solver path records it.  Kept only because the cost
+    /// ledger (`ledger/`) builds this struct as a literal and compiles
+    /// against the field.
     pub refactor_fallbacks: u64,
     /// Cold entries evicted from the template/symbolic caches at capacity
     /// (previously the whole cache was dropped).
@@ -68,20 +68,10 @@ impl SolverStats {
         }
     }
 
-    /// Fraction of update-path attempts that stayed on the update path.
-    pub fn update_hit_rate(&self) -> f64 {
-        let total = self.update_hits + self.refactor_fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.update_hits as f64 / total as f64
-        }
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} symbolic analyses, {} sparse refactors ({:.1}x reuse), {} sparse solves, {} dense factors, {} dense solves, {} template hits / {} builds ({:.1}% hit rate), {} update hits / {} refactor fallbacks, {} cache evictions",
+            "{} symbolic analyses, {} sparse refactors ({:.1}x reuse), {} sparse solves, {} dense factors, {} dense solves, {} template hits / {} builds ({:.1}% hit rate), {} cache evictions",
             self.symbolic_analyses,
             self.sparse_refactors,
             self.reuse_ratio(),
@@ -91,8 +81,6 @@ impl SolverStats {
             self.template_hits,
             self.template_builds,
             100.0 * self.template_hit_rate(),
-            self.update_hits,
-            self.refactor_fallbacks,
             self.cache_evictions,
         )
     }
@@ -126,14 +114,6 @@ pub(crate) fn record_template_build() {
     TEMPLATE_BUILDS.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn record_update_hit() {
-    UPDATE_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_refactor_fallback() {
-    REFACTOR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
 pub(crate) fn record_cache_eviction() {
     CACHE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
 }
@@ -148,8 +128,8 @@ pub fn snapshot() -> SolverStats {
         dense_solves: DENSE_SOLVES.load(Ordering::Relaxed),
         template_hits: TEMPLATE_HITS.load(Ordering::Relaxed),
         template_builds: TEMPLATE_BUILDS.load(Ordering::Relaxed),
-        update_hits: UPDATE_HITS.load(Ordering::Relaxed),
-        refactor_fallbacks: REFACTOR_FALLBACKS.load(Ordering::Relaxed),
+        update_hits: 0,
+        refactor_fallbacks: 0,
         cache_evictions: CACHE_EVICTIONS.load(Ordering::Relaxed),
     }
 }
@@ -163,8 +143,6 @@ pub fn reset() {
     DENSE_SOLVES.store(0, Ordering::Relaxed);
     TEMPLATE_HITS.store(0, Ordering::Relaxed);
     TEMPLATE_BUILDS.store(0, Ordering::Relaxed);
-    UPDATE_HITS.store(0, Ordering::Relaxed);
-    REFACTOR_FALLBACKS.store(0, Ordering::Relaxed);
     CACHE_EVICTIONS.store(0, Ordering::Relaxed);
 }
 
@@ -182,19 +160,16 @@ mod tests {
             dense_solves: 3,
             template_hits: 9,
             template_builds: 1,
-            update_hits: 12,
-            refactor_fallbacks: 4,
+            update_hits: 0,
+            refactor_fallbacks: 0,
             cache_evictions: 2,
         };
         assert!((stats.reuse_ratio() - 25.0).abs() < 1e-12);
         assert!((stats.template_hit_rate() - 0.9).abs() < 1e-12);
-        assert!((stats.update_hit_rate() - 0.75).abs() < 1e-12);
         assert!(stats.summary().contains("25.0x reuse"));
         assert!(stats.summary().contains("9 template hits"));
-        assert!(stats.summary().contains("12 update hits"));
         assert!(stats.summary().contains("2 cache evictions"));
         assert_eq!(SolverStats::default().reuse_ratio(), 0.0);
         assert_eq!(SolverStats::default().template_hit_rate(), 0.0);
-        assert_eq!(SolverStats::default().update_hit_rate(), 0.0);
     }
 }

@@ -3,15 +3,17 @@
 //! Random well-conditioned circuits are generated and solved both through the
 //! legacy dense reference path ([`AcCircuit::solve`]) and through the
 //! compiled sparse path ([`AcCircuit::compile`], `G + jωC` restamping against
-//! a symbolic-once LU); node voltages must agree to 1e-9 across a log sweep.
+//! a symbolic-once LU); node voltages must agree to 1e-9 across a log sweep,
+//! factor-once noise must match per-source dense solves, and the
+//! struct-of-arrays sweep must be bit-identical to the scalar sweep.
 //! Value-only restamp reuse and the singular error paths are covered by unit
 //! tests below.
 
 use gcnrl_linalg::Complex;
 use gcnrl_sim::ac::log_sweep;
-use gcnrl_sim::noise::{output_noise_psd_compiled, output_noise_psd_via_update, NoiseSource};
+use gcnrl_sim::noise::{output_noise_psd_compiled, NoiseSource};
 use gcnrl_sim::smallsignal::GROUND;
-use gcnrl_sim::{solver_stats, AcCircuit, AcElement, SimError};
+use gcnrl_sim::{AcCircuit, AcElement, SimError};
 use proptest::prelude::*;
 
 /// Builds a random but structurally well-conditioned circuit: a conductive
@@ -65,48 +67,6 @@ fn random_circuit(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random circuits with small per-candidate perturbations: the batched
-    /// Sherman–Morrison–Woodbury sweep must agree with per-candidate full
-    /// refactorisation to 1e-9 across a log sweep.
-    #[test]
-    fn batched_update_sweep_matches_per_candidate_refactor(
-        anchors in prop::collection::vec(1e-4f64..1e-2, 10),
-        nodes in 5usize..11,
-        perturb_idx in prop::collection::vec(0usize..10, 3),
-        scales in prop::collection::vec(0.2f64..5.0, 3),
-    ) {
-        let ckt = random_circuit(nodes, &anchors, &[], &[]);
-        let mut base = ckt.compile().unwrap();
-        // Each candidate scales a few anchor conductances: same stamp
-        // positions as the base, a handful of perturbed slots.
-        let candidate_circuits: Vec<AcCircuit> = (1..=3)
-            .map(|k| {
-                let mut perturbed = anchors.clone();
-                for (idx, scale) in perturb_idx.iter().zip(&scales).take(k) {
-                    perturbed[idx % nodes] *= scale;
-                }
-                random_circuit(nodes, &perturbed, &[], &[])
-            })
-            .collect();
-        let mut candidates: Vec<_> = candidate_circuits
-            .iter()
-            .map(|c| c.compile().unwrap())
-            .collect();
-        let output = nodes - 1;
-        let freqs = log_sweep(1.0, 1e9, 3);
-        let batch = base.sweep_batch(output, &freqs, &mut candidates).unwrap();
-        for (ckt, swept) in candidate_circuits.iter().zip(&batch) {
-            let mut reference = ckt.compile().unwrap();
-            let expect = reference.sweep_voltages_scalar(output, &freqs).unwrap();
-            for ((f0, v0), (_, v1)) in swept.iter().zip(&expect) {
-                prop_assert!(
-                    (*v0 - *v1).abs() < 1e-9 * (1.0 + v1.abs()),
-                    "f={} update={:?} refactor={:?}", f0, v0, v1
-                );
-            }
-        }
-    }
-
     /// Sparse and dense node voltages agree to 1e-9 across a log sweep.
     #[test]
     fn sparse_matches_dense_across_log_sweep(
@@ -127,6 +87,10 @@ proptest! {
         let ckt = random_circuit(nodes, &anchors, &cross, &vccs);
         let mut compiled = ckt.compile().unwrap();
         prop_assert!(compiled.is_sparse());
+        let sources: Vec<NoiseSource> = (0..nodes)
+            .map(|i| NoiseSource { a: GROUND, b: i, psd: 1e-24 * (i + 1) as f64 })
+            .collect();
+        let output = nodes - 1;
         for f in log_sweep(1.0, 1e9, 2) {
             let dense = ckt.solve(f).unwrap();
             let sparse = compiled.solve_at(f).unwrap();
@@ -136,6 +100,28 @@ proptest! {
                     "f={} dense={:?} sparse={:?}", f, d, s
                 );
             }
+            // Factor-once noise: one factorisation serves every injection
+            // solve and matches per-source dense solves.
+            let factor_once = output_noise_psd_compiled(&mut compiled, &sources, output, f).unwrap();
+            let per_source: f64 = sources
+                .iter()
+                .map(|src| src.psd * ckt.solve_injection(f, src.a, src.b).unwrap()[output].abs_sq())
+                .sum();
+            prop_assert!(
+                (factor_once - per_source).abs() <= 1e-9 * per_source,
+                "f={} factor-once noise {} vs per-source {}", f, factor_once, per_source
+            );
+        }
+        // The struct-of-arrays sweep is bit-identical to the scalar
+        // per-point reference on a fresh compile of the same circuit.
+        let freqs = log_sweep(1.0, 1e9, 3);
+        let swept = compiled.sweep_voltages(output, &freqs).unwrap();
+        let reference = ckt.compile().unwrap().sweep_voltages_scalar(output, &freqs).unwrap();
+        prop_assert_eq!(swept.len(), reference.len());
+        for ((f0, v0), (f1, v1)) in swept.iter().zip(&reference) {
+            prop_assert_eq!(f0, f1);
+            prop_assert!(v0.re.to_bits() == v1.re.to_bits(), "re differs at {} Hz", f0);
+            prop_assert!(v0.im.to_bits() == v1.im.to_bits(), "im differs at {} Hz", f0);
         }
     }
 }
@@ -190,140 +176,6 @@ fn symbolic_reuse_after_value_only_restamp() {
     }
 }
 
-/// The noise analysis routed through the rank-k injection update must agree
-/// with the candidate's own factor-once path: exactly for a zero-delta
-/// candidate (the correction degenerates to the base solve) and to 1e-12 for
-/// a rank-1 sizing perturbation.
-#[test]
-fn noise_via_update_agrees_with_factor_once() {
-    let build = |g_tap: f64| {
-        let mut ckt = AcCircuit::new(8);
-        for i in 0..8 {
-            let prev = if i == 0 { GROUND } else { i - 1 };
-            ckt.add(AcElement::Conductance {
-                a: prev,
-                b: i,
-                g: 1e-3,
-            });
-            ckt.add(AcElement::Capacitance {
-                a: i,
-                b: GROUND,
-                c: 1e-13,
-            });
-        }
-        ckt.add(AcElement::Conductance {
-            a: 5,
-            b: GROUND,
-            g: g_tap,
-        });
-        ckt.add(AcElement::CurrentSource {
-            a: GROUND,
-            b: 0,
-            value: Complex::ONE,
-        });
-        ckt
-    };
-    let sources: Vec<NoiseSource> = (0..8)
-        .map(|i| NoiseSource {
-            a: GROUND,
-            b: i,
-            psd: 1e-24 * (i + 1) as f64,
-        })
-        .collect();
-    let output = 7;
-    let freq = 1e6;
-
-    // Zero delta: identical circuits, the update is rank-0 and exact.
-    let mut base = build(1e-4).compile().unwrap();
-    let mut twin = build(1e-4).compile().unwrap();
-    let via_update =
-        output_noise_psd_via_update(&mut base, &mut twin, &sources, output, freq).unwrap();
-    let mut reference = build(1e-4).compile().unwrap();
-    let direct = output_noise_psd_compiled(&mut reference, &sources, output, freq).unwrap();
-    assert!(
-        (via_update - direct).abs() <= 1e-12 * direct,
-        "zero-delta noise update diverged: {via_update} vs {direct}"
-    );
-
-    // Rank-1 perturbation (the tap conductance scales): every injection
-    // solve rides the shared correction and agrees to 1e-12.
-    let before = solver_stats::snapshot();
-    let mut candidate = build(3e-4).compile().unwrap();
-    let via_update =
-        output_noise_psd_via_update(&mut base, &mut candidate, &sources, output, freq).unwrap();
-    let after = solver_stats::snapshot();
-    assert!(
-        after.update_hits > before.update_hits,
-        "rank-1 noise candidate must ride the update path"
-    );
-    let mut reference = build(3e-4).compile().unwrap();
-    let direct = output_noise_psd_compiled(&mut reference, &sources, output, freq).unwrap();
-    assert!(
-        (via_update - direct).abs() <= 1e-12 * direct,
-        "rank-1 noise update diverged: {via_update} vs {direct}"
-    );
-}
-
-/// A perturbation engineered to cancel the update's capacitance matrix (the
-/// `1 + δ·w` term driven to ~1e-13) must trip the ill-conditioning gate and
-/// fall back to a full refactor — and the fallback answer must match the
-/// candidate's own solve.
-#[test]
-fn ill_conditioned_update_falls_back_to_refactor() {
-    let n = 8;
-    let tap = n - 1;
-    // Purely resistive so the cancellation arithmetic is exactly real.
-    let build = |g_tap: f64| {
-        let mut ckt = AcCircuit::new(n);
-        for i in 0..n {
-            let prev = if i == 0 { GROUND } else { i - 1 };
-            ckt.add(AcElement::Conductance {
-                a: prev,
-                b: i,
-                g: 1e-3,
-            });
-        }
-        ckt.add(AcElement::Conductance {
-            a: tap,
-            b: GROUND,
-            g: g_tap,
-        });
-        ckt.add(AcElement::CurrentSource {
-            a: GROUND,
-            b: 0,
-            value: Complex::ONE,
-        });
-        ckt
-    };
-    let g0 = 1e-3;
-    let ckt = build(g0);
-    let mut base = ckt.compile().unwrap();
-    base.factor_at(1.0).unwrap();
-    // w = A₀⁻¹·e_tap; choosing δg = −(1 − 1e-13)/w[tap] drives the 1×1
-    // capacitance matrix C = 1 + δg·w[tap] down to ~1e-13, far inside the
-    // cancellation gate.
-    let w_tap = base.solve_injection(GROUND, tap).unwrap()[tap].re;
-    let dg = -(1.0 - 1e-13) / w_tap;
-    let candidate_ckt = build(g0 + dg);
-    let mut candidate = candidate_ckt.compile().unwrap();
-
-    let before = solver_stats::snapshot();
-    let x = base.solve_updated_from(&mut candidate, 1.0).unwrap();
-    let after = solver_stats::snapshot();
-    assert!(
-        after.refactor_fallbacks > before.refactor_fallbacks,
-        "cancelled capacitance matrix must trigger the refactor fallback"
-    );
-    assert!(x.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
-    let expect = candidate_ckt.compile().unwrap().solve_at(1.0).unwrap();
-    for (a, b) in x.iter().zip(&expect) {
-        assert!(
-            (*a - *b).abs() <= 1e-9 * (1.0 + b.abs()),
-            "fallback result must match the candidate's own solve"
-        );
-    }
-}
-
 /// A circuit whose admittance matrix is numerically singular must error (not
 /// panic) through both the dense reference and the compiled sparse path.
 #[test]
@@ -362,4 +214,46 @@ fn singular_system_errors_through_both_paths() {
     // is absent but the system is still singular — and stays usable if a
     // later frequency succeeds.
     assert!(compiled.solve_at(0.0).is_err());
+
+    // Nearly singular but not singular: a resistive ladder whose tap
+    // conductance cancels all but ~1e-13 of the matrix determinant still
+    // solves finitely through the compiled sparse path, matching the dense
+    // reference.
+    let n = 8;
+    let tap = n - 1;
+    let ladder = |g_tap: f64| {
+        let mut ckt = AcCircuit::new(n);
+        for i in 0..n {
+            let prev = if i == 0 { GROUND } else { i - 1 };
+            ckt.add(AcElement::Conductance {
+                a: prev,
+                b: i,
+                g: 1e-3,
+            });
+        }
+        ckt.add(AcElement::Conductance {
+            a: tap,
+            b: GROUND,
+            g: g_tap,
+        });
+        ckt.add(AcElement::CurrentSource {
+            a: GROUND,
+            b: 0,
+            value: Complex::ONE,
+        });
+        ckt
+    };
+    let g0 = 1e-3;
+    let mut base = ladder(g0).compile().unwrap();
+    base.factor_at(1.0).unwrap();
+    let w_tap = base.solve_injection(GROUND, tap).unwrap()[tap].re;
+    let near = ladder(g0 - (1.0 - 1e-13) / w_tap);
+    let x = near.compile().unwrap().solve_at(1.0).unwrap();
+    assert!(x.iter().all(|v| v.re.is_finite() && v.im.is_finite()));
+    let dense = near.solve(1.0).unwrap();
+    let scale = dense.iter().map(|v| v.abs()).fold(0.0f64, f64::max);
+    for (d, s) in dense.iter().zip(&x) {
+        let rel = (*d - *s).abs() / scale;
+        assert!(rel <= 1e-9, "near-singular solve diverges: {d:?} vs {s:?}");
+    }
 }
